@@ -5,7 +5,15 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: lint test test-all sanitize-smoke trace-demo faults-demo \
-	test-faults test-canonical coverage-gate
+	test-faults test-canonical coverage-gate bench bench-compare
+
+# qfbench (benchmarks/qfbench/README.md): run.py writes each seed's
+# record-<sha>-seed<S>.json into BENCH_OUT; `make bench` copies it on
+# into OUT, so two checkouts can keep their records apart for
+# `make bench-compare OLD=<dir> NEW=<dir>`
+BENCH_OUT := benchmarks/qfbench/out
+OUT ?= $(BENCH_OUT)
+SEEDS ?= 0 1 2 3 4
 
 # QF physics-aware linter (docs/static_analysis.md); fails on any new
 # unsuppressed finding — the same zero-findings bar the tier-1 test
@@ -73,3 +81,20 @@ test-canonical:
 coverage-gate:
 	$(PYTHON) -m repro.devtools.covgate \
 		--target src/repro/pipeline --fail-under 85 -- -x -q
+
+# qfbench: every workload, untraced then traced, once per seed in
+# SEEDS; a failed run still leaves its record (compare counts it) and
+# fails the target at the end
+bench:
+	mkdir -p $(OUT)
+	rc=0; for s in $(SEEDS); do \
+		python3 benchmarks/qfbench/run.py --seed $$s || rc=1; \
+		rec=$$(ls -t $(BENCH_OUT)/record-*-seed$$s.json | head -n 1); \
+		[ "$(abspath $(OUT))" = "$(abspath $(BENCH_OUT))" ] \
+			|| cp "$$rec" $(OUT)/ || rc=1; \
+	done; exit $$rc
+
+# median delta of each end-to-end metric between two directories of
+# records, against its BENCHMARK.json bound (exit 1 on a regression)
+bench-compare:
+	python3 benchmarks/qfbench/run.py --compare $(OLD) $(NEW)

@@ -12,10 +12,13 @@ Derivation notes (validated against finite differences in
     dE/dR = P·dh + dE_2e - W·dS + dE_nn,   W = 2 C_occ eps_occ C_occ^T
 
 Exact two-electron part, with Gamma_mnls = 1/2 P_mn P_ls - 1/4 P_ml P_ns
-(the coefficient of (mn|ls) in the energy):
+(the coefficient of (mn|ls) in the energy). The bra-slot tensor
+dERI^A[x,m,n,l,s] = d(mn|ls)/d(center of m) enters through the four
+slots of each quartet, Gamma_mnls + Gamma_nmls + Gamma_lsmn + Gamma_lsnm,
+which for a symmetric P collapses to
 
-    dE_2e/dR_I = sum_{m in I} sum_nls dERI^A[x,m,n,l,s] *
-                 (Gamma_mnls + Gamma_nmls + Gamma_lsmn + Gamma_lsnm)
+    G_mnls = 2 P_mn P_ls - 1/2 P_ml P_ns - 1/2 P_nl P_ms
+    dE_2e/dR_I = sum_{m in I} sum_nls dERI^A[x,m,n,l,s] G_mnls
 
 Density-fitted part (A = (ab|P), V = (P|Q), M = V^-1, c = M gamma):
 
@@ -81,15 +84,9 @@ def _one_electron_gradient(scf: SCFResult, amap: np.ndarray) -> np.ndarray:
 def _exact_two_electron_gradient(scf: SCFResult, amap: np.ndarray) -> np.ndarray:
     p = scf.density
     deri = scf.engine.eri_deriv()  # (3, n, n, n, n), bra-a slot
-    gamma = 0.5 * np.einsum("mn,ls->mnls", p, p) - 0.25 * np.einsum(
-        "ml,ns->mnls", p, p
-    )
-    gtot = (
-        gamma
-        + gamma.transpose(1, 0, 2, 3)
-        + gamma.transpose(2, 3, 0, 1)
-        + gamma.transpose(2, 3, 1, 0)
-    )
+    gtot = (2.0 * np.einsum("mn,ls->mnls", p, p)
+            - 0.5 * np.einsum("ml,ns->mnls", p, p)
+            - 0.5 * np.einsum("nl,ms->mnls", p, p))
     slot = np.einsum("xmnls,mnls->xm", deri, gtot)
     natm = scf.geometry.natoms
     g = np.zeros((natm, 3))

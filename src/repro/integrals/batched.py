@@ -9,8 +9,11 @@ python-level loops over *pairs* around those einsums:
   primitive arrays with numpy gathers, without a per-pair python loop.
 * :func:`scatter_symmetric` / :func:`scatter_ordered` /
   :func:`scatter_pairs_aux` / :func:`scatter_pairs_2c` /
-  :func:`scatter_eri_deriv` — precomputed flat-index scatter plans
+  :func:`scatter_eri_deriv_ab` — precomputed flat-index scatter plans
   (cached per block) that place per-pair value blocks into matrices.
+  The fused-derivative scatters (``scatter_pairs_aux`` with a d/dB
+  slab, ``scatter_eri_deriv_ab``) mask their transpose images to
+  off-diagonal pairs so every write lands on a distinct element.
   Only scatters whose write sets are duplicate-free are vectorized; the
   8-fold ERI image scatter and the DF metric scatter keep their
   sequential loops because their overlapping writes rely on
@@ -38,7 +41,7 @@ __all__ = [
     "scatter_ordered",
     "scatter_pairs_aux",
     "scatter_pairs_2c",
-    "scatter_eri_deriv",
+    "scatter_eri_deriv_ab",
 ]
 
 
@@ -295,44 +298,53 @@ def scatter_pairs_2c(target: np.ndarray, bra, ket,
     target.reshape(-1)[flat] = vals.ravel()
 
 
-def scatter_eri_deriv(target: np.ndarray, bra, ket,
-                      vals: np.ndarray) -> None:
-    """Scatter (npb, na, nb, npk, nc, nd) derivative ERI values.
+def scatter_eri_deriv_ab(target: np.ndarray, bra, ket,
+                         vals: np.ndarray) -> None:
+    """Scatter fused dA/dB derivative ERI values into the bra-slot tensor.
 
-    ``target`` is one (nbf, nbf, nbf, nbf) derivative slab; bra pairs
-    are ordered (no bra image), ket pairs canonical, so the only image
-    is the ket swap, masked to off-diagonal ket pairs. Write sets are
-    disjoint.
+    ``target`` is the (3, nbf, nbf, nbf, nbf) ``eri_deriv`` tensor and
+    ``vals`` the (6, npb, na, nb, npk, nc, nd) output of a fused
+    derivative contraction: slabs 0-2 are d(mn|ls)/dA, slabs 3-5
+    d(mn|ls)/dB. dA goes to [m,n,l,s] and [m,n,s,l]; dB is the slot of
+    n, so it goes to [n,m,l,s] and [n,m,s,l]. The bra images are masked
+    to off-diagonal bra pairs and the ket images to off-diagonal ket
+    pairs, so write sets are disjoint and assignment order cannot
+    matter. The swapped orientation (ket|bra) scatters through the same
+    function with the roles of ``bra`` and ``ket`` exchanged.
     """
-    na, nb = vals.shape[1], vals.shape[2]
-    nc, nd = vals.shape[4], vals.shape[5]
-    nbf = target.shape[0]
+    na, nb, nc, nd = vals.shape[2], vals.shape[3], vals.shape[5], vals.shape[6]
+    nbf = target.shape[1]
     cache = getattr(bra, "_scatter_plans", None)
     if cache is None:
         cache = bra._scatter_plans = {}
     key = ("erid", id(ket), na, nb, nc, nd, nbf)
     plan = cache.get(key)
     if plan is None:
-        rows = bra.off_a[:, None] + np.arange(na)[None, :]      # (npb, na)
-        cols = bra.off_b[:, None] + np.arange(nb)[None, :]      # (npb, nb)
-        kidx = ket.off_a[:, None] + np.arange(nc)[None, :]      # (npk, nc)
-        lidx = ket.off_b[:, None] + np.arange(nd)[None, :]      # (npk, nd)
-        pair_flat = (rows[:, :, None] * nbf + cols[:, None, :])  # (npb, na, nb)
-        ket_flat = kidx[:, :, None] * nbf + lidx[:, None, :]     # (npk, nc, nd)
-        flat = (pair_flat[:, :, :, None, None, None] * (nbf * nbf)
-                + ket_flat[None, None, None, :, :, :])
-        off_diag = ket.off_a != ket.off_b
-        # image axes ordered (nd, nc) to line up with the transposed vals
-        ket_flat_t = (lidx[off_diag][:, :, None] * nbf
-                      + kidx[off_diag][:, None, :])              # (nod, nd, nc)
-        flat_t = (pair_flat[:, :, :, None, None, None] * (nbf * nbf)
-                  + ket_flat_t[None, None, None, :, :, :])
-        plan = (flat.ravel(), off_diag, flat_t.ravel())
+        full = (bra.npair, na, nb, ket.npair, nc, nd)
+        m = (bra.off_a[:, None] + np.arange(na))[:, :, None, None, None, None]
+        n = (bra.off_b[:, None] + np.arange(nb))[:, None, :, None, None, None]
+        l = (ket.off_a[:, None] + np.arange(nc))[None, None, None, :, :, None]
+        s = (ket.off_b[:, None] + np.arange(nd))[None, None, None, :, None, :]
+        off_b = bra.off_a != bra.off_b
+        off_k = ket.off_a != ket.off_b
+        slab = nbf ** 4 * np.arange(3)[:, None]
+
+        every = slice(None)
+
+        def image(i, j, k, q, bra_mask, ket_mask):
+            # flat (3, nbf, nbf, nbf, nbf) index of [x, i, j, k, q] laid out
+            # like vals, restricted to the masked pairs
+            flat = np.broadcast_to(((i * nbf + j) * nbf + k) * nbf + q, full)
+            return slab + flat[bra_mask][:, :, :, ket_mask].ravel()[None, :]
+
+        plan = (off_b, off_k,
+                image(m, n, l, s, every, every), image(m, n, s, l, every, off_k),
+                image(n, m, l, s, off_b, every), image(n, m, s, l, off_b, off_k))
         cache[key] = plan
-    flat, off_diag, flat_t = plan
+    off_b, off_k, f_a, f_at, f_b, f_bt = plan
     out = target.reshape(-1)
-    out[flat] = vals.ravel()
-    if flat_t.size:
-        out[flat_t] = vals[:, :, :, off_diag].transpose(
-            0, 1, 2, 3, 5, 4
-        ).ravel()
+    d_a, d_b = vals[:3], vals[3:, off_b]
+    out[f_a] = d_a.reshape(3, -1)
+    out[f_at] = d_a[:, :, :, :, off_k].reshape(3, -1)
+    out[f_b] = d_b.reshape(3, -1)
+    out[f_bt] = d_b[:, :, :, :, off_k].reshape(3, -1)

@@ -19,7 +19,8 @@ same-shape GEMMs (§V-C), applied at the integral level.
 Validation: every public method is tested against the scalar reference
 in :mod:`repro.integrals.mcmurchie` and against finite differences, and
 the pair-block build and scatters against the loop oracle in
-``tests/integrals/oracle.py``.
+``tests/integrals/oracle.py``, which also keeps the ordered-bra
+``eri_deriv`` build as the value oracle of the unordered-block one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from scipy.special import gammainc, gammaln
 from repro.basis.gaussian import BasisSet, Shell
 from repro.integrals.batched import (
     build_pair_blocks,
-    scatter_eri_deriv,
+    scatter_eri_deriv_ab,
     scatter_ordered,
     scatter_pairs_2c,
     scatter_pairs_aux,
@@ -316,6 +317,26 @@ def _e3_components(
     return out
 
 
+def _combined_index(
+    combos_b: list[tuple[int, int, int]],
+    combos_k: list[tuple[int, int, int]],
+    ltot: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables of the summed Hermite index (t+t', u+u', v+v') for
+    every (bra combo, ket combo) pair. Combined orders above ``ltot``
+    index zero-filled slots of the R tensor, so no masking is needed.
+    """
+    ti = np.empty((len(combos_b), len(combos_k)), dtype=int)
+    ui = np.empty_like(ti)
+    vi = np.empty_like(ti)
+    for i, (t, u, v) in enumerate(combos_b):
+        for j, (tt, uu, vv) in enumerate(combos_k):
+            ti[i, j] = min(t + tt, ltot)
+            ui[i, j] = min(u + uu, ltot)
+            vi[i, j] = min(v + vv, ltot)
+    return ti, ui, vi
+
+
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -397,14 +418,7 @@ class IntegralEngine:
         p = blk.p.reshape(npair, k2)
         pc = blk.pc.reshape(npair, k2, 3)
         ltot = 2 * l_half
-        ti = np.empty((nk, nk), dtype=int)
-        ui = np.empty_like(ti)
-        vi = np.empty_like(ti)
-        for i, (t, u, v) in enumerate(combos):
-            for j, (tt, uu, vv) in enumerate(combos):
-                ti[i, j] = min(t + tt, ltot)
-                ui[i, j] = min(u + uu, ltot)
-                vi[i, j] = min(v + vv, ltot)
+        ti, ui, vi = _combined_index(combos, combos, ltot)
         out = np.empty(npair)
         chunk = max(1, element_budget // max(1, k2 * k2 * nk))
         for start in range(0, npair, chunk):  # qf: shell-loop — chunked over the element budget; body vectorized
@@ -659,13 +673,25 @@ class IntegralEngine:
         e3b: np.ndarray,
         combos_b: list[tuple[int, int, int]],
         lbra: int,
+        ket_stack: np.ndarray | None = None,
         element_budget: int = 400_000,
-    ) -> np.ndarray:
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Shared Coulomb contraction over stacked bra E3 variants.
 
         ``e3b`` has shape (nvariants, nprim_bra, nab, ncombos_b). Both
         sides are chunked so the cross R tensor stays within the
-        element budget (times the Hermite component count).
+        element budget (times the Hermite component count). Returns
+        (nvariants, npair_bra, nab, npair_ket, ncd).
+
+        ``ket_stack`` optionally holds unsigned ket E3 variants
+        (nvariants_k, nprim_ket, ncd, ncombos) over
+        ``hermite_combos(ket.la + ket.lb + 1)``, i.e. ket derivatives
+        while ``e3b`` holds bra derivatives. The same R(P-Q) chunk then
+        also gives the swapped orientation (ket variant | plain bra):
+        R_tuv(Q-P) = (-1)^(t+u+v) R_tuv(P-Q), so the ket variants take
+        the sign and the plain bra E3 does not. The second result is
+        (nvariants_k, npair_bra, nab, npair_ket, ncd) and the method
+        returns both.
         """
         lket = ket.la + ket.lb
         combos_k = hermite_combos(lket, lket, lket, lket)
@@ -676,18 +702,20 @@ class IntegralEngine:
         nab = e3b.shape[2]
         ncd = e3k.shape[1]
         ltot = lbra + lket
-        # gather index tables: combined Hermite index per (kb, kk)
-        ti = np.empty((len(combos_b), len(combos_k)), dtype=int)
-        ui = np.empty_like(ti)
-        vi = np.empty_like(ti)
-        for i, (t, u, v) in enumerate(combos_b):
-            for j, (tt, uu, vv) in enumerate(combos_k):
-                ti[i, j] = min(t + tt, ltot)
-                ui[i, j] = min(u + uu, ltot)
-                vi[i, j] = min(v + vv, ltot)
-                # entries with t+u+v sums beyond ltot point at zero-filled
-                # slots of the R tensor, so no masking is needed
+        ti, ui, vi = _combined_index(combos_b, combos_k, ltot)
         out = np.zeros((nvar, bra.npair, nab, ket.npair, ncd))
+        if ket_stack is not None:
+            lb0 = bra.la + bra.lb
+            combos_b0 = hermite_combos(lb0, lb0, lb0, lb0)
+            combos_kd = hermite_combos(lket + 1, lket + 1, lket + 1, lket + 1)
+            e3b0 = _e3_components(
+                bra.e_tensors(), bra.la, bra.lb, combos_b0, weights=bra.cc
+            )
+            parity = np.array([(-1.0) ** sum(c) for c in combos_kd])
+            e3kd = ket_stack * parity
+            tk, uk, vk = _combined_index(combos_b0, combos_kd, ltot)
+            nvk = e3kd.shape[0]
+            out_k = np.zeros((nvk, bra.npair, nab, ket.npair, ncd))
         bchunk = max(1, element_budget // max(1, ket.nprim))
         bchunk = max(bra.k2, (bchunk // bra.k2) * bra.k2)
         npairs_per_chunk = max(1, bchunk // bra.k2)
@@ -717,11 +745,26 @@ class IntegralEngine:
             nck = len(combos_k)
             self._record_class_gemm(nbp, nvar * nab, ket.nprim * nck, ncb)
             self._record_class_gemm(ket.nprim, nvar * nbp * nab, ncd, nck)
-            vals = vals.reshape(
+            out[:, start:stop] = vals.reshape(
                 nvar, stop - start, bra.k2, nab, ket.npair, ket.k2, ncd
             ).sum(axis=(2, 5))
-            out[:, start:stop] = vals
-        return out
+            if ket_stack is None:
+                continue
+            rsel = r[:, :, tk, uk, vk]  # (nbp, nkp, ncb0, nckd)
+            rsel *= pref[:, :, None, None]
+            vals = np.einsum(
+                "pak,pqkm,yqcm->ypaqc", e3b0[bs], rsel, e3kd, optimize=True
+            )
+            self._record_class_gemm(nbp, nab, ket.nprim * len(combos_kd),
+                                    len(combos_b0))
+            self._record_class_gemm(ket.nprim, nbp * nab, nvk * ncd,
+                                    len(combos_kd))
+            out_k[:, start:stop] = vals.reshape(
+                nvk, stop - start, bra.k2, nab, ket.npair, ket.k2, ncd
+            ).sum(axis=(2, 5))
+        if ket_stack is None:
+            return out
+        return out, out_k
 
     def eri(self) -> np.ndarray:
         """Exact ERI tensor (chemists' notation (ab|cd)), full nbf^4.
@@ -921,6 +964,24 @@ def _e3_deriv_components_b(
     return out
 
 
+def _e3_deriv_ab_stack(blk: PairBlock
+                       ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Fused d/dA, d/dB E3 stack of a pair block and its Hermite combos.
+
+    Shape (6, nprim, nab, ncombos) over ``hermite_combos(la + lb + 1)``:
+    variants 0-2 are d/dA{x,y,z}, 3-5 are d/dB{x,y,z}, contraction
+    weights applied.
+    """
+    l1 = blk.la + blk.lb + 1
+    combos = hermite_combos(l1, l1, l1, l1)
+    ex = blk.e_tensors(da=1, db=1)
+    e3a = _e3_deriv_components(ex, blk.a, blk.la, blk.lb, combos,
+                               weights=blk.cc)
+    e3b = _e3_deriv_components_b(ex, blk.b, blk.la, blk.lb, combos,
+                                 weights=blk.cc)
+    return np.concatenate([e3a, e3b], axis=0), combos
+
+
 # ---------------------------------------------------------------------------
 # derivative one-electron integrals (bra-slot convention)
 # ---------------------------------------------------------------------------
@@ -1087,15 +1148,9 @@ class _DerivMixin:
         ordered-pair derivative builds because the Hermite Coulomb tensor —
         the dominant term — is computed once.
         """
-        la, lb = bra.la, bra.lb
-        lbra = la + lb + 1
-        combos_b = hermite_combos(lbra, lbra, lbra, lbra)
-        exb = bra.e_tensors(da=1, db=1)
-        e3a = _e3_deriv_components(exb, bra.a, la, lb, combos_b, weights=bra.cc)
-        e3bv = _e3_deriv_components_b(exb, bra.b, la, lb, combos_b, weights=bra.cc)
-        stack = np.concatenate([e3a, e3bv], axis=0)
-        out = self._coulomb_core(bra, ket, stack, combos_b, lbra)
-        na, nb_ = len(components(la)), len(components(lb))
+        stack, combos_b = _e3_deriv_ab_stack(bra)
+        out = self._coulomb_core(bra, ket, stack, combos_b, bra.la + bra.lb + 1)
+        na, nb_ = len(components(bra.la)), len(components(bra.lb))
         nc, nd = len(components(ket.la)), len(components(ket.lb))
         return out.reshape(6, bra.npair, na, nb_, ket.npair, nc, nd)
 
@@ -1136,15 +1191,38 @@ class _DerivMixin:
         """dA-slot derivative of the exact ERI tensor.
 
         Shape (3, nbf, nbf, nbf, nbf): entry [x, mu, nu, lm, sg] is
-        d(mu nu|lm sg)/d(center of mu). Ordered bra pairs, canonical
-        (symmetrized) ket pairs. Small systems only (nbf^4 memory).
+        d(mu nu|lm sg)/d(center of mu). Each unordered pair of canonical
+        blocks (bra <= ket) shares one Hermite Coulomb tensor per chunk,
+        which yields all four center derivatives: the fused dA/dB
+        stack of the bra against the ket, and for bra != ket the fused
+        dC/dD stack of the ket against the bra, i.e. the slots of
+        (ket|bra). Small systems only (nbf^4 memory).
         """
-        out = np.zeros((3, self.nbf, self.nbf, self.nbf, self.nbf))
-        for bra in self._ordered():
-            for ket in self.blocks:
-                vals = self.coulomb_block_deriv(bra, ket)
-                for d in range(3):
-                    scatter_eri_deriv(out[d], bra, ket, vals[d])
+        nbf = self.nbf
+        out = np.zeros((3, nbf, nbf, nbf, nbf))
+        blocks = self.blocks
+        stacks = [_e3_deriv_ab_stack(blk) for blk in blocks]
+        for bi, bra in enumerate(blocks):  # qf: shell-loop — one iteration per unordered class-block pair; body vectorized
+            stack_b, combos_b = stacks[bi]
+            lbra = bra.la + bra.lb + 1
+            for ki in range(bi, len(blocks)):  # qf: shell-loop — one iteration per unordered class-block pair; body vectorized
+                ket = blocks[ki]
+                shape = (6, bra.npair, len(components(bra.la)),
+                         len(components(bra.lb)), ket.npair,
+                         len(components(ket.la)), len(components(ket.lb)))
+                if ki == bi:
+                    # (bra|bra) already covers every ordered pair combination
+                    vals = self._coulomb_core(bra, ket, stack_b, combos_b, lbra)
+                    scatter_eri_deriv_ab(out, bra, ket, vals.reshape(shape))
+                    continue
+                vals, vals_k = self._coulomb_core(bra, ket, stack_b, combos_b,
+                                                  lbra, ket_stack=stacks[ki][0])
+                scatter_eri_deriv_ab(out, bra, ket, vals.reshape(shape))
+                # (6, bra pair, ab, ket pair, cd) -> ket-major for (ket|bra)
+                scatter_eri_deriv_ab(
+                    out, ket, bra,
+                    vals_k.reshape(shape).transpose(0, 4, 5, 6, 1, 2, 3),
+                )
         return out
 
 

@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from repro.dfpt.gradient import gradient, nuclear_repulsion_gradient
+from repro.dfpt.gradient import (
+    _exact_two_electron_gradient,
+    gradient,
+    nuclear_repulsion_gradient,
+)
+from repro.geometry import water_box
+from repro.geometry.atoms import Geometry
+from repro.pipeline.rigid import snap_rigid_copies
 from repro.scf import RHF
+from tests.integrals import oracle
 
 DELTA = 2e-4
 
@@ -81,3 +91,37 @@ def test_gradient_h2_sign():
     # means energy rises moving away? at R > Re, dE/dR < 0 is wrong --
     # binding: E(R) rises beyond Re up to dissociation, so dE/dR > 0
     assert grad[1, 2] > 0
+
+
+def _relaxed_water_dimer() -> Geometry:
+    """Two ``water_box`` waters with the RHF/STO-3G equilibrium internal
+    geometry (r_OH = 0.9894 A, HOH = 100.03 deg)."""
+    half = math.radians(100.0252) / 2.0
+    x, z = 0.989395 * math.sin(half), 0.989395 * math.cos(half)
+    relaxed = Geometry.from_angstrom(
+        ["O", "H", "H"], [[0.0, 0.0, 0.0], [x, 0.0, z], [-x, 0.0, z]])
+    a, b = snap_rigid_copies(water_box(2, seed=0), relaxed)
+    return a.merged(b)
+
+
+def _oracle_two_electron_gradient(scf, amap):
+    """The ordered-bra ERI derivative contracted with the four-slot sum
+    of Gamma_mnls = 1/2 P_mn P_ls - 1/4 P_ml P_ns, term by term."""
+    p = scf.density
+    deri = oracle.eri_deriv_ordered(scf.engine)
+    gamma = (0.5 * np.einsum("mn,ls->mnls", p, p)
+             - 0.25 * np.einsum("ml,ns->mnls", p, p))
+    gtot = (gamma + gamma.transpose(1, 0, 2, 3)
+            + gamma.transpose(2, 3, 0, 1) + gamma.transpose(2, 3, 1, 0))
+    slot = np.einsum("xmnls,mnls->xm", deri, gtot)
+    return np.array([slot[:, amap == i].sum(axis=1)
+                     for i in range(scf.geometry.natoms)])
+
+
+def test_exact_two_electron_gradient_matches_oracle():
+    res = RHF(_relaxed_water_dimer(), eri_mode="exact").run()
+    assert res.converged
+    amap = res.basis.function_atom_map()
+    np.testing.assert_allclose(_exact_two_electron_gradient(res, amap),
+                               _oracle_two_electron_gradient(res, amap),
+                               rtol=0, atol=1e-10)

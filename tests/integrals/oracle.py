@@ -7,6 +7,10 @@ is compared against bit for bit. :func:`oracle_dispatch` swaps them in
 for the batched functions wherever the engine and the density-fitting
 build look them up, so an :class:`~repro.integrals.engine.IntegralEngine`
 constructed and evaluated inside it runs the loop path end to end.
+
+:func:`eri_deriv_ordered` is a value oracle rather than a loop twin: the
+straightforward ordered-bra build of the ERI derivative, which the
+engine's unordered-block build matches to round-off.
 """
 
 from __future__ import annotations
@@ -144,21 +148,57 @@ def scatter_pairs_2c(target, bra, ket, vals) -> None:
             target[oa: oa + na, oc: oc + nc] = vals[rb, :, rk, :]
 
 
-def scatter_eri_deriv(target, bra, ket, vals) -> None:
-    """(npb, na, nb, npk, nc, nd) values into one (nbf,)*4 slab, plus
-    the ket-swap image for off-diagonal ket pairs."""
-    na, nb = vals.shape[1], vals.shape[2]
-    nc, nd = vals.shape[4], vals.shape[5]
+def scatter_eri_deriv_ab(target, bra, ket, vals) -> None:
+    """(6, npb, na, nb, npk, nc, nd) fused dA/dB values into the
+    (3, nbf, nbf, nbf, nbf) bra-slot tensor: dA at [m,n,l,s], dB at
+    [n,m,l,s] for off-diagonal bra pairs, each plus the ket-swap image
+    for off-diagonal ket pairs."""
+    nc, nd = vals.shape[5], vals.shape[6]
     for rb in range(bra.npair):
         oa, ob = bra.off_a[rb], bra.off_b[rb]
         for rk in range(ket.npair):
             oc, od = ket.off_a[rk], ket.off_b[rk]
-            v = vals[rb, :, :, rk]
-            target[oa: oa + na, ob: ob + nb, oc: oc + nc, od: od + nd] = v
-            if oc != od:
-                target[oa: oa + na, ob: ob + nb, od: od + nd, oc: oc + nc] = (
-                    v.transpose(0, 1, 3, 2)
+            images = [(oa, ob, vals[:3, rb, :, :, rk])]
+            if oa != ob:
+                images.append(
+                    (ob, oa, vals[3:, rb, :, :, rk].transpose(0, 2, 1, 3, 4))
                 )
+            for (i0, j0, v) in images:
+                ni, nj = v.shape[1], v.shape[2]
+                target[:, i0: i0 + ni, j0: j0 + nj, oc: oc + nc, od: od + nd] = v
+                if oc != od:
+                    target[:, i0: i0 + ni, j0: j0 + nj,
+                           od: od + nd, oc: oc + nc] = v.transpose(0, 1, 2, 4, 3)
+
+
+def eri_deriv_ordered(engine) -> np.ndarray:
+    """Value oracle for :meth:`IntegralEngine.eri_deriv`.
+
+    The straightforward build: every *ordered* bra shell pair against
+    every canonical ket pair, one bra-a derivative per combination, plus
+    the ket-swap image. It evaluates the Hermite Coulomb tensor about
+    four times as often as the engine's unordered-block build, and
+    agrees with it to round-off (not bit for bit: the engine reads the
+    dB and dC/dD slots from other contractions).
+    """
+    nbf = engine.nbf
+    out = np.zeros((3, nbf, nbf, nbf, nbf))
+    for bra in engine._ordered():
+        for ket in engine.blocks:
+            vals = engine.coulomb_block_deriv(bra, ket)
+            na, nb = vals.shape[2], vals.shape[3]
+            nc, nd = vals.shape[5], vals.shape[6]
+            for rb in range(bra.npair):
+                oa, ob = bra.off_a[rb], bra.off_b[rb]
+                for rk in range(ket.npair):
+                    oc, od = ket.off_a[rk], ket.off_b[rk]
+                    v = vals[:, rb, :, :, rk]
+                    out[:, oa: oa + na, ob: ob + nb, oc: oc + nc,
+                        od: od + nd] = v
+                    if oc != od:
+                        out[:, oa: oa + na, ob: ob + nb, od: od + nd,
+                            oc: oc + nc] = v.transpose(0, 1, 2, 4, 3)
+    return out
 
 
 #: (module, name) -> loop replacement installed by :func:`oracle_dispatch`
@@ -168,7 +208,7 @@ _SWAPS = (
     (engine_module, "scatter_ordered", scatter_ordered),
     (engine_module, "scatter_pairs_aux", scatter_pairs_aux),
     (engine_module, "scatter_pairs_2c", scatter_pairs_2c),
-    (engine_module, "scatter_eri_deriv", scatter_eri_deriv),
+    (engine_module, "scatter_eri_deriv_ab", scatter_eri_deriv_ab),
     (df_module, "scatter_pairs_aux", scatter_pairs_aux),
 )
 

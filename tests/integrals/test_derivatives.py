@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.basis import build_basis
 from repro.geometry import water_molecule
 from repro.integrals.engine import IntegralEngine, single_shell_blocks
 from repro.scf.df import auto_aux_basis
+from tests.integrals.corpora import random_system, small_shell_strategy
 
 DELTA = 1.0e-5
 
@@ -139,3 +141,25 @@ def test_eri_deriv_vs_fd_h2():
         * sel[None, None, None, :]
     )
     assert np.allclose(an, fd, atol=1e-8)
+
+
+def _translation_residual(deri):
+    """dA + dB + dC + dD of every quartet, from the bra-slot tensor."""
+    return (deri + deri.transpose(0, 2, 1, 3, 4)
+            + deri.transpose(0, 3, 4, 1, 2) + deri.transpose(0, 3, 4, 2, 1))
+
+
+def test_eri_deriv_translational_invariance(water):
+    """Moving all four centers together leaves (mn|ls) unchanged. Water
+    has p shells and same-center pairs, so every scatter image of the
+    bra and the swapped (ket|bra) orientation is exercised."""
+    eng, _basis = _engine(water)
+    assert np.abs(_translation_residual(eng.eri_deriv())).max() <= 1e-12
+
+
+@settings(deadline=None, max_examples=5)
+@given(spec=small_shell_strategy,
+       seed=st.integers(min_value=0, max_value=2**31))
+def test_eri_deriv_translational_invariance_random(spec, seed):
+    eng = IntegralEngine(*random_system(spec, seed))
+    assert np.abs(_translation_residual(eng.eri_deriv())).max() <= 1e-12

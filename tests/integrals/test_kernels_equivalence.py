@@ -13,14 +13,20 @@ see.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.basis.gaussian import BasisSet, build_basis, make_shell
+from repro.basis.gaussian import build_basis
 from repro.geometry import water_box, water_molecule
 from repro.integrals.batched import build_pair_blocks
 from repro.integrals.engine import IntegralEngine
 from repro.scf.df import DensityFitting, auto_aux_basis
 from tests.integrals import oracle
+from tests.integrals.corpora import (
+    random_system,
+    shell_strategy,
+    small_shell_strategy,
+)
 
 PAIR_BLOCK_FIELDS = ("ishell", "jshell", "off_a", "off_b", "atom_a",
                      "atom_b", "a", "b", "cc", "ab_vec", "centers_a",
@@ -69,14 +75,18 @@ def test_water_sto3g_bit_identical():
     _assert_matches_oracle(basis, w.numbers.astype(float), w.coords)
 
 
+def _two_p_centers():
+    from repro.geometry.atoms import Geometry
+
+    return Geometry(symbols=["O", "O"],
+                    coords=np.array([[0.0, 0.0, 0.0], [0.0, 0.4, 2.1]]))
+
+
 def test_two_p_centers_bit_identical():
     """Two oxygens: p shells on *different* centers, so the engine hits
     square (na == nb == 3) off-diagonal pair blocks whose transposed
     scatter image is order-sensitive — the regression geometry."""
-    from repro.geometry.atoms import Geometry
-
-    geom = Geometry(symbols=["O", "O"],
-                    coords=np.array([[0.0, 0.0, 0.0], [0.0, 0.4, 2.1]]))
+    geom = _two_p_centers()
     basis = build_basis(geom, name="sto-3g")
     _assert_matches_oracle(basis, geom.numbers.astype(float), geom.coords)
 
@@ -118,34 +128,11 @@ def test_df_tensors_bit_identical():
 
 # -- hypothesis corpora ----------------------------------------------------
 
-shell_spec = st.tuples(
-    st.integers(min_value=0, max_value=2),            # l: s/p/d
-    st.integers(min_value=0, max_value=3),            # center index
-    st.integers(min_value=1, max_value=3),            # n primitives
-)
-shell_strategy = st.lists(shell_spec, min_size=1, max_size=6)
-#: the nbf^4 ERI derivative (3 x nbf^4 doubles) stays small with <= 4 shells
-small_shell_strategy = st.lists(shell_spec, min_size=1, max_size=4)
-
-
-def _random_system(spec, seed):
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(-2.0, 2.0, size=(4, 3))
-    shells = []
-    for l, ci, k in spec:
-        exps = np.sort(rng.uniform(0.1, 5.0, size=k))[::-1]
-        coefs = rng.uniform(0.2, 1.0, size=k)
-        shells.append(make_shell(l, centers[ci], exps, coefs, atom_index=ci))
-    basis = BasisSet(shells)
-    charges = np.ones(4)
-    return basis, charges, centers
-
-
 @settings(deadline=None, max_examples=20)
 @given(spec=shell_strategy, seed=st.integers(min_value=0, max_value=2**31))
 def test_random_corpora_one_electron_identical(spec, seed):
     """One-electron matrices and their bra-slot derivatives."""
-    _assert_matches_oracle(*_random_system(spec, seed), eri=False)
+    _assert_matches_oracle(*random_system(spec, seed), eri=False)
 
 
 @settings(deadline=None, max_examples=10)
@@ -153,7 +140,7 @@ def test_random_corpora_one_electron_identical(spec, seed):
        seed=st.integers(min_value=0, max_value=2**31))
 def test_random_corpora_eri_identical(spec, seed):
     """ERIs and their derivative; fewer shells bound the nbf^4 cost."""
-    basis, charges, centers = _random_system(spec, seed)
+    basis, charges, centers = random_system(spec, seed)
     engine = IntegralEngine(basis, charges, centers)
     got = (engine.eri(), engine.eri_deriv())
     with oracle.oracle_dispatch():
@@ -163,6 +150,34 @@ def test_random_corpora_eri_identical(spec, seed):
     np.testing.assert_array_equal(got[1], ref[1], err_msg="eri_deriv")
 
 
+# -- value oracle for the unordered-block ERI derivative -------------------
+#
+# eri_deriv reads the dB slots and, through the sign-flipped R tensor,
+# the dC/dD slots of (ket|bra) from shared contractions, so it agrees
+# with the ordered-bra build to round-off rather than bit for bit.
+
+def _assert_eri_deriv_matches_ordered(basis, charges, coords):
+    engine = IntegralEngine(basis, charges, coords)
+    np.testing.assert_allclose(engine.eri_deriv(),
+                               oracle.eri_deriv_ordered(engine),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("geom", [water_molecule(), _two_p_centers()],
+                         ids=["water", "two_p_centers"])
+def test_eri_deriv_matches_ordered(geom):
+    basis = build_basis(geom, name="sto-3g")
+    _assert_eri_deriv_matches_ordered(basis, geom.numbers.astype(float),
+                                      geom.coords)
+
+
+@settings(deadline=None, max_examples=10)
+@given(spec=small_shell_strategy,
+       seed=st.integers(min_value=0, max_value=2**31))
+def test_random_corpora_eri_deriv_matches_ordered(spec, seed):
+    _assert_eri_deriv_matches_ordered(*random_system(spec, seed))
+
+
 @settings(deadline=None, max_examples=20)
 @given(spec=shell_strategy, seed=st.integers(min_value=0, max_value=2**31),
        canonicalize=st.booleans())
@@ -170,7 +185,7 @@ def test_random_corpora_pair_blocks_identical(spec, seed, canonicalize):
     """The vectorized block builder must reproduce the loop builder's
     blocks exactly: same classes, same pair order, same packed arrays,
     for canonical pairs and for the ordered pairs of the derivatives."""
-    basis, _, _ = _random_system(spec, seed)
+    basis, _, _ = random_system(spec, seed)
     ns = len(basis.shells)
     pairs = None if canonicalize else \
         [(i, j) for i in range(ns) for j in range(ns)]
