@@ -222,9 +222,6 @@ def check_response(resp, label: str = "", phase: str = "", *,
         # which propagates to ~1e-6 on the tensor
         check_array("alpha", resp.alpha, symmetric=True, shape=(3, 3),
                     atol=1.0e-5, context=context, force=force)
-    if resp.dmu_dr is not None:
-        check_array("dmu_dr", resp.dmu_dr, shape=(ncoord, 3),
-                    context=context, force=force)
     return resp
 
 
@@ -247,7 +244,7 @@ def response_digest(resp) -> str:
     pool runs of the same task must produce equal digests.
     """
     h = hashlib.sha256()
-    for field in ("hessian", "dalpha_dr", "alpha", "gradient", "dmu_dr"):
+    for field in ("hessian", "dalpha_dr", "alpha", "gradient"):
         _digest_update(h, getattr(resp, field, None))
     h.update(np.float64(resp.energy).tobytes())
     return h.hexdigest()

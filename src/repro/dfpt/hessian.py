@@ -52,7 +52,6 @@ class FragmentResponse:
     dalpha_dr: np.ndarray | None   # (3N, 3, 3), polarizability derivative
     alpha: np.ndarray | None       # (3, 3) equilibrium polarizability
     gradient: np.ndarray           # (N, 3) residual gradient at input geometry
-    dmu_dr: np.ndarray | None = None   # (3N, 3) dipole derivative (IR)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -71,7 +70,6 @@ class CoordinateJobResult:
     col: int
     hess_col: np.ndarray            # (3N,) Hessian column (already / 2 delta)
     dalpha_col: np.ndarray | None   # (3, 3)
-    dmu_col: np.ndarray | None      # (3,)
     niter_plus: int
     niter_minus: int
     timings: dict = field(default_factory=dict)  # name -> (seconds, count)
@@ -80,15 +78,6 @@ class CoordinateJobResult:
     spans: list = field(default_factory=list)
     counter_delta: dict = field(default_factory=dict)
     pid: int = 0
-
-
-def dipole_moment(scf: SCFResult) -> np.ndarray:
-    """Total dipole moment (a.u.): electronic -tr(P D) plus nuclear."""
-    dip_ints = scf.engine.dipole(origin=(0.0, 0.0, 0.0))
-    electronic = -np.einsum("xab,ab->x", dip_ints, scf.density)
-    charges = scf.geometry.numbers.astype(float)
-    nuclear = charges @ scf.geometry.coords
-    return electronic + nuclear
 
 
 def _displaced_scf(
@@ -119,7 +108,6 @@ def coordinate_job(
     base_density: np.ndarray,
     scf_kwargs: dict,
     compute_raman: bool,
-    compute_ir: bool,
     side_done=None,
 ) -> CoordinateJobResult:
     """Central-difference data for one coordinate (both signs).
@@ -148,19 +136,17 @@ def coordinate_job(
                 if compute_raman:
                     with timer.section("cphf_displaced"):
                         a = CPHF(res).run().alpha
-                mu = dipole_moment(res) if compute_ir else None
-                sides.append((g, a, mu, res.niter))
+                sides.append((g, a, res.niter))
                 # seed the -delta run from the +delta converged density
                 guess = res.density
                 if side_done is not None:
                     side_done()
-    (gp, ap, mp, np_), (gm, am, mm, nm_) = sides
+    (gp, ap, np_), (gm, am, nm_) = sides
     col = 3 * atom + axis
     return CoordinateJobResult(
         col=col,
         hess_col=(gp - gm).ravel() / (2.0 * delta),
         dalpha_col=(ap - am) / (2.0 * delta) if compute_raman else None,
-        dmu_col=(mp - mm) / (2.0 * delta) if compute_ir else None,
         niter_plus=np_,
         niter_minus=nm_,
         timings={
@@ -177,7 +163,6 @@ def fragment_response(
     geometry: Geometry,
     delta: float = 5.0e-3,
     compute_raman: bool = True,
-    compute_ir: bool = False,
     basis_name: str = "sto-3g",
     eri_mode: str = "auto",
     schwarz_cutoff: float = 1.0e-12,
@@ -198,9 +183,6 @@ def fragment_response(
         settings).
     compute_raman:
         Also run CPHF at every displacement for d(alpha)/dR.
-    compute_ir:
-        Also difference the dipole moment for d(mu)/dR (IR intensities)
-        — essentially free, the displaced SCFs already exist.
     schwarz_cutoff:
         Schwarz screening threshold handed to the SCF integral engine
         (see :mod:`repro.integrals.engine`); 0 disables screening.
@@ -233,7 +215,6 @@ def fragment_response(
     ncoord = 3 * n
     hessian = np.zeros((ncoord, ncoord))
     dalpha = np.zeros((ncoord, 3, 3)) if compute_raman else None
-    dmu = np.zeros((ncoord, 3)) if compute_ir else None
     total = 2 * ncoord
     done = 0
     coords = [(atom, axis) for atom in range(n) for axis in range(3)]
@@ -253,14 +234,14 @@ def fragment_response(
                 results.append(
                     coordinate_job(
                         geometry, atom, axis, delta, base.density, scf_kwargs,
-                        compute_raman, compute_ir, side_done=side_done,
+                        compute_raman, side_done=side_done,
                     )
                 )
         else:
             pending = {
                 pool.submit(
                     coordinate_job, geometry, atom, axis, delta, base.density,
-                    scf_kwargs, compute_raman, compute_ir,
+                    scf_kwargs, compute_raman,
                 )
                 for atom, axis in coords
             }
@@ -284,8 +265,6 @@ def fragment_response(
         hessian[res.col] = res.hess_col
         if compute_raman:
             dalpha[res.col] = res.dalpha_col
-        if compute_ir:
-            dmu[res.col] = res.dmu_col
         iters_plus += res.niter_plus
         iters_minus += res.niter_minus
         for name, (secs, cnt) in res.timings.items():
@@ -300,7 +279,6 @@ def fragment_response(
         dalpha_dr=dalpha,
         alpha=alpha0,
         gradient=g0,
-        dmu_dr=dmu,
         meta={
             "delta": delta,
             "basis": basis_name,

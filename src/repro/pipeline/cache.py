@@ -28,7 +28,7 @@ from repro.geometry.atoms import Geometry
 from repro.obs.counters import counters
 
 #: optional FragmentResponse array fields persisted when present
-_OPTIONAL_FIELDS = ("dalpha_dr", "alpha", "dmu_dr")
+_OPTIONAL_FIELDS = ("dalpha_dr", "alpha")
 
 
 def _geometry_digest(h, geometry: Geometry) -> None:
@@ -45,40 +45,47 @@ def response_key(geometry: Geometry, basis_name: str, delta: float) -> str:
     return h.hexdigest()[:24]
 
 
-def task_key(
-    geometry: Geometry,
+def config_encoding(
     basis_name: str,
     delta: float,
     *,
     compute_raman: bool = True,
-    compute_ir: bool = False,
     eri_mode: str = "auto",
     schwarz_cutoff: float = 1.0e-12,
     extra: dict | None = None,
-) -> str:
-    """Content hash of one fragment task: geometry + full run config.
+) -> bytes:
+    """Canonical bytes of every run setting that can change the numbers.
 
-    Unlike :func:`response_key` (geometry + level of theory only), this
-    covers every knob that can change the numerical result, so a
-    :class:`~repro.pipeline.resilience.RunStore` hit is guaranteed
-    bit-compatible with a fresh computation. The config is serialized
-    with sorted keys, so the key is invariant to dict insertion order;
-    nothing positional (task index, attempt number, submission order)
-    enters the hash, so it is invariant to fragment ordering too.
+    Serialized with sorted keys, so the encoding is invariant to dict
+    insertion order. Shared by :func:`task_key` and
+    :func:`repro.pipeline.canonical.canonical_key`.
     """
-    h = hashlib.sha256()
-    _geometry_digest(h, geometry)
     config = {
         "basis": basis_name,
         "delta": f"{delta:.3e}",
         "raman": bool(compute_raman),
-        "ir": bool(compute_ir),
         "eri": eri_mode,
         "schwarz": f"{schwarz_cutoff:.3e}",
     }
     if extra:
         config.update({str(k): str(v) for k, v in extra.items()})
-    h.update(json.dumps(config, sort_keys=True).encode())
+    return json.dumps(config, sort_keys=True).encode()
+
+
+def task_key(geometry: Geometry, basis_name: str, delta: float,
+             **config) -> str:
+    """Content hash of one fragment task: geometry + full run config.
+
+    Unlike :func:`response_key` (geometry + level of theory only), this
+    covers every knob that can change the numerical result
+    (:func:`config_encoding`), so a hit is guaranteed bit-compatible
+    with a fresh computation. Nothing positional (task index, attempt
+    number, submission order) enters the hash, so it is invariant to
+    fragment ordering too.
+    """
+    h = hashlib.sha256()
+    _geometry_digest(h, geometry)
+    h.update(config_encoding(basis_name, delta, **config))
     return h.hexdigest()[:24]
 
 
@@ -110,7 +117,6 @@ def response_from_npz(data, geometry: Geometry,
         dalpha_dr=opt("dalpha_dr"),
         alpha=opt("alpha"),
         gradient=data["gradient"],
-        dmu_dr=opt("dmu_dr"),
         meta=dict(meta or {"cached": True}),
     )
 

@@ -73,7 +73,6 @@ check are both load-bearing. See ``docs/caching.md``.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import zipfile
 from pathlib import Path
@@ -84,6 +83,7 @@ from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
 from repro.obs.counters import counters
 from repro.pipeline.cache import (
+    config_encoding,
     response_from_npz,
     response_payload,
     write_npz_atomic,
@@ -270,44 +270,19 @@ def canonicalize(geometry: Geometry,
     )
 
 
-def _config_extra(
-    basis_name: str, delta: float, compute_raman: bool, compute_ir: bool,
-    eri_mode: str, schwarz_cutoff: float,
-) -> dict:
-    return {
-        "basis": basis_name,
-        "delta": f"{delta:.3e}",
-        "raman": bool(compute_raman),
-        "ir": bool(compute_ir),
-        "eri": eri_mode,
-        "schwarz": f"{schwarz_cutoff:.3e}",
-    }
-
-
-def canonical_key(
-    geometry: Geometry,
-    basis_name: str,
-    delta: float,
-    *,
-    compute_raman: bool = True,
-    compute_ir: bool = False,
-    eri_mode: str = "auto",
-    schwarz_cutoff: float = 1.0e-12,
-    decimals: int = CANON_DECIMALS,
-) -> str:
+def canonical_key(geometry: Geometry, basis_name: str, delta: float, *,
+                  decimals: int = CANON_DECIMALS, **config) -> str:
     """Content hash of (canonical geometry class, full run config).
 
-    The rigid-motion analogue of :func:`repro.pipeline.cache.task_key`:
-    two fragments share a key iff they are the same geometry up to a
-    proper rigid motion (within the quantization grid) *and* every
-    config knob that can change the numbers matches.
+    The rigid-motion analogue of :func:`repro.pipeline.cache.task_key`,
+    with the same config encoding: two fragments share a key iff they
+    are the same geometry up to a proper rigid motion (within the
+    quantization grid) *and* every config knob that can change the
+    numbers matches.
     """
-    frame = canonicalize(geometry, decimals=decimals)
     h = hashlib.sha256()
-    h.update(frame.key.encode())
-    config = _config_extra(basis_name, delta, compute_raman, compute_ir,
-                           eri_mode, schwarz_cutoff)
-    h.update(json.dumps(config, sort_keys=True).encode())
+    h.update(canonicalize(geometry, decimals=decimals).key.encode())
+    h.update(config_encoding(basis_name, delta, **config))
     return h.hexdigest()[:24]
 
 
@@ -347,7 +322,6 @@ def permute_response(response: FragmentResponse, perm,
         dalpha_dr=take(response.dalpha_dr),
         alpha=response.alpha,
         gradient=response.gradient[perm],
-        dmu_dr=take(response.dmu_dr),
         meta=dict(response.meta),
     )
 
@@ -412,7 +386,6 @@ class CanonicalStore:
         delta: float,
         *,
         compute_raman: bool = True,
-        compute_ir: bool = False,
         eri_mode: str = "auto",
         schwarz_cutoff: float = 1.0e-12,
     ) -> Path | None:
@@ -420,7 +393,7 @@ class CanonicalStore:
         if self.mode == CANON_OFF:
             return None
         key = self.key(geometry, basis_name, delta,
-                       compute_raman=compute_raman, compute_ir=compute_ir,
+                       compute_raman=compute_raman,
                        eri_mode=eri_mode, schwarz_cutoff=schwarz_cutoff)
         if self.mode == CANON_EXACT:
             payload = response_payload(response)
@@ -448,7 +421,6 @@ class CanonicalStore:
         delta: float,
         *,
         compute_raman: bool = True,
-        compute_ir: bool = False,
         eri_mode: str = "auto",
         schwarz_cutoff: float = 1.0e-12,
     ) -> FragmentResponse | None:
@@ -458,7 +430,7 @@ class CanonicalStore:
         if self.mode == CANON_OFF:
             return None
         key = self.key(geometry, basis_name, delta,
-                       compute_raman=compute_raman, compute_ir=compute_ir,
+                       compute_raman=compute_raman,
                        eri_mode=eri_mode, schwarz_cutoff=schwarz_cutoff)
         path = self._path(key)
         if not path.exists():
@@ -534,14 +506,14 @@ class CanonicalStore:
     def load_task(self, task) -> FragmentResponse | None:
         return self.load(
             task.geometry, task.basis_name, task.delta,
-            compute_raman=task.compute_raman, compute_ir=task.compute_ir,
+            compute_raman=task.compute_raman,
             eri_mode=task.eri_mode, schwarz_cutoff=task.schwarz_cutoff,
         )
 
     def store_task(self, task, response: FragmentResponse) -> Path | None:
         return self.store(
             task.geometry, response, task.basis_name, task.delta,
-            compute_raman=task.compute_raman, compute_ir=task.compute_ir,
+            compute_raman=task.compute_raman,
             eri_mode=task.eri_mode, schwarz_cutoff=task.schwarz_cutoff,
         )
 

@@ -72,7 +72,6 @@ class FragmentTask:
     geometry: Geometry
     delta: float = 5.0e-3
     compute_raman: bool = True
-    compute_ir: bool = False
     basis_name: str = "sto-3g"
     eri_mode: str = "auto"
     schwarz_cutoff: float = 1.0e-12
@@ -185,7 +184,6 @@ def _run_task(task: FragmentTask) -> FragmentTaskResult:
                     task.geometry,
                     delta=task.delta,
                     compute_raman=task.compute_raman,
-                    compute_ir=task.compute_ir,
                     basis_name=task.basis_name,
                     eri_mode=task.eri_mode,
                     schwarz_cutoff=task.schwarz_cutoff,
@@ -466,7 +464,6 @@ class DisplacementExecutor(FragmentExecutor):
                     task.geometry,
                     delta=task.delta,
                     compute_raman=task.compute_raman,
-                    compute_ir=task.compute_ir,
                     basis_name=task.basis_name,
                     eri_mode=task.eri_mode,
                     schwarz_cutoff=task.schwarz_cutoff,

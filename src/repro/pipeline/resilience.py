@@ -189,7 +189,7 @@ class RunStore:
     def key_for(self, task: FragmentTask) -> str:
         return task_key(
             task.geometry, task.basis_name, task.delta,
-            compute_raman=task.compute_raman, compute_ir=task.compute_ir,
+            compute_raman=task.compute_raman,
             eri_mode=task.eri_mode, schwarz_cutoff=task.schwarz_cutoff,
         )
 

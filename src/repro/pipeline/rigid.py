@@ -93,12 +93,6 @@ def rotate_response(response: FragmentResponse, rotation: np.ndarray,
     alpha = None
     if response.alpha is not None:
         alpha = r @ response.alpha @ r.T
-    dmu = None
-    if response.dmu_dr is not None:
-        # (dmu/dR)'_{Ix,i} = R_{xx'} R_{ii'} (dmu/dR)_{Ix',i'}: both the
-        # displacement index and the dipole component rotate
-        d = response.dmu_dr.reshape(n, 3, 3)
-        dmu = np.einsum("xw,ip,nwp->nxi", r, r, d).reshape(3 * n, 3)
     grad = response.gradient @ r.T
     return FragmentResponse(
         geometry=target,
@@ -107,6 +101,5 @@ def rotate_response(response: FragmentResponse, rotation: np.ndarray,
         dalpha_dr=dalpha,
         alpha=alpha,
         gradient=grad,
-        dmu_dr=dmu,
         meta=dict(response.meta, rotated=True),
     )

@@ -181,17 +181,15 @@ def _axially_symmetric_response(geometry: Geometry,
                 c[0] * par + c[1] * perp
     coef = rng.standard_normal((n, 2))
     dalpha = np.zeros((3 * n, 3, 3))
-    dmu = np.zeros((3 * n, 3))
     for i in range(n):
         for x in range(3):
             dalpha[3 * i + x] = e[x] * (coef[i, 0] * par
                                         + coef[i, 1] * perp)
-            dmu[3 * i + x] = coef[i, 0] * e[x] * e
     grad = rng.standard_normal(n)[:, None] * e
     return FragmentResponse(
         geometry=geometry, energy=-1.5, hessian=hessian,
         dalpha_dr=dalpha, alpha=2.0 * par + 0.7 * perp,
-        gradient=grad, dmu_dr=dmu,
+        gradient=grad,
     )
 
 
@@ -221,7 +219,7 @@ def test_linear_round_trip_with_physical_symmetry(tmp_path):
 
     # reference: apply the same permutation and rotation directly
     expect = rotate_response(permute_response(resp, perm), rot, copy)
-    for name in ("hessian", "dalpha_dr", "gradient", "dmu_dr", "alpha"):
+    for name in ("hessian", "dalpha_dr", "gradient", "alpha"):
         np.testing.assert_allclose(
             getattr(got, name), getattr(expect, name),
             rtol=0.0, atol=1.0e-10, err_msg=name,

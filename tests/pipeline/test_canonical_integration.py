@@ -41,7 +41,6 @@ def _response(g: Geometry, seed: int = 0) -> FragmentResponse:
         dalpha_dr=rng.standard_normal((3 * g.natoms, 3, 3)),
         alpha=rng.standard_normal((3, 3)),
         gradient=rng.standard_normal((g.natoms, 3)),
-        dmu_dr=rng.standard_normal((3 * g.natoms, 3)),
     )
 
 

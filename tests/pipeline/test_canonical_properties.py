@@ -166,7 +166,6 @@ def _response(geometry: Geometry, seed: int) -> FragmentResponse:
         dalpha_dr=rng.standard_normal((3 * n, 3, 3)),
         alpha=rng.standard_normal((3, 3)),
         gradient=rng.standard_normal((n, 3)),
-        dmu_dr=rng.standard_normal((3 * n, 3)),
     )
 
 
@@ -205,7 +204,7 @@ def test_store_load_round_trip_is_identity(geom_spec, seed, resp_seed):
     rot, _t, rmsd = kabsch_rotation(permuted.geometry.coords, copy.coords)
     assert rmsd < 1.0e-9
     expect = rotate_response(permuted, rot, copy)
-    for name in ("hessian", "dalpha_dr", "gradient", "dmu_dr", "alpha"):
+    for name in ("hessian", "dalpha_dr", "gradient", "alpha"):
         np.testing.assert_allclose(
             getattr(got, name), getattr(expect, name),
             rtol=0.0, atol=1.0e-10, err_msg=name,
@@ -229,6 +228,5 @@ def test_permute_response_round_trips(geom_spec, resp_seed, perm_seed):
     back = permute_response(permute_response(response, perm), inv)
     np.testing.assert_array_equal(back.hessian, response.hessian)
     np.testing.assert_array_equal(back.dalpha_dr, response.dalpha_dr)
-    np.testing.assert_array_equal(back.dmu_dr, response.dmu_dr)
     np.testing.assert_array_equal(back.gradient, response.gradient)
     assert list(back.geometry.symbols) == list(geometry.symbols)

@@ -47,7 +47,6 @@ def _response(i: int) -> FragmentResponse:
         dalpha_dr=rng.standard_normal((9, 3, 3)),
         alpha=rng.standard_normal((3, 3)),
         gradient=rng.standard_normal((3, 3)),
-        dmu_dr=rng.standard_normal((9, 3)),
     )
 
 
@@ -76,7 +75,6 @@ def _response(i):
         dalpha_dr=rng.standard_normal((9, 3, 3)),
         alpha=rng.standard_normal((3, 3)),
         gradient=rng.standard_normal((3, 3)),
-        dmu_dr=rng.standard_normal((9, 3)),
     )
 
 
@@ -102,8 +100,6 @@ def _assert_entry_exact(store: CanonicalStore, i: int) -> None:
     np.testing.assert_allclose(got.hessian, ref.hessian,
                                rtol=0.0, atol=1.0e-12)
     np.testing.assert_allclose(got.dalpha_dr, ref.dalpha_dr,
-                               rtol=0.0, atol=1.0e-12)
-    np.testing.assert_allclose(got.dmu_dr, ref.dmu_dr,
                                rtol=0.0, atol=1.0e-12)
     assert got.energy == ref.energy
 

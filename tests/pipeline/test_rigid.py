@@ -89,38 +89,6 @@ def test_rotated_response_matches_recomputation(water_resp):
     assert np.allclose(rotated.dalpha_dr, direct.dalpha_dr, atol=2e-3)
 
 
-def test_rotate_response_transforms_dmu_dr():
-    """Regression: the dipole-derivative block must co-rotate with the
-    geometry (it used to be silently dropped). Both the displacement
-    index and the dipole component transform, so each atom's 3x3 block
-    B maps to R B R^T."""
-    w = water_molecule()
-    n = w.natoms
-    rng = np.random.default_rng(6)
-    dmu = rng.standard_normal((3 * n, 3))
-    resp = FragmentResponse(
-        geometry=w, energy=0.0, hessian=np.zeros((3 * n, 3 * n)),
-        dalpha_dr=None, alpha=None,
-        gradient=np.zeros((n, 3)), dmu_dr=dmu,
-    )
-    rot = random_rotation(rng)
-    target = Geometry(list(w.symbols), w.coords @ rot.T)
-    rotated = rotate_response(resp, rot, target)
-    assert rotated.dmu_dr is not None
-    for i in range(n):
-        block = dmu[3 * i: 3 * i + 3, :]
-        np.testing.assert_allclose(
-            rotated.dmu_dr[3 * i: 3 * i + 3, :],
-            rot @ block @ rot.T, atol=1e-12,
-        )
-    # a response without dipole derivatives stays without them
-    bare = FragmentResponse(
-        geometry=w, energy=0.0, hessian=np.zeros((3 * n, 3 * n)),
-        dalpha_dr=None, alpha=None, gradient=np.zeros((n, 3)),
-    )
-    assert rotate_response(bare, rot, target).dmu_dr is None
-
-
 def test_snap_rigid_copies():
     w = water_molecule()
     rng = np.random.default_rng(5)

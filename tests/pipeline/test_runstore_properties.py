@@ -164,7 +164,7 @@ def test_task_key_ignores_dict_insertion_order(extra_items):
     geom = _geometry([(0.0, 0.0, 0.0), (0.0, 0.0, 1.4)])
     forward = dict(extra_items)
     backward = dict(reversed(extra_items))
-    kw = dict(compute_raman=True, compute_ir=False, eri_mode="auto",
+    kw = dict(compute_raman=True, eri_mode="auto",
               schwarz_cutoff=1.0e-12)
     assert task_key(geom, "sto-3g", 5.0e-3, extra=forward, **kw) \
         == task_key(geom, "sto-3g", 5.0e-3, extra=backward, **kw)
@@ -178,7 +178,7 @@ def test_task_key_ignores_dict_insertion_order(extra_items):
 
 def test_task_key_sensitive_to_config():
     geom = _geometry([(0.0, 0.0, 0.0), (0.0, 0.0, 1.4)])
-    kw = dict(compute_raman=True, compute_ir=False, eri_mode="auto",
+    kw = dict(compute_raman=True, eri_mode="auto",
               schwarz_cutoff=1.0e-12)
     base = task_key(geom, "sto-3g", 5.0e-3, **kw)
     assert task_key(geom, "6-31g", 5.0e-3, **kw) != base
