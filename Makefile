@@ -45,35 +45,39 @@ trace-demo:
 # fault tolerance end to end (docs/resilience.md): crash one monomer
 # for good and straggle the dimer — the run retries, reissues, skips
 # the dead fragment, and still delivers a (flagged) partial spectrum
-# plus a resumable checkpoint store and a manifest with the accounting
+# plus a resumable fragment store and a manifest with the accounting
 faults-demo:
 	rm -rf faults-demo.store
 	$(PYTHON) -m repro water-raman --n 2 --solver dense \
 		--inject-faults 'crash:water[0]@*;hang:ww[0,1]@1:0.5' \
 		--retries 2 --timeout-s 60 --failure-policy skip_and_report \
-		--run-store faults-demo.store \
+		--canonical-cache faults-demo.store \
 		--manifest faults-demo.manifest.json
 	@echo "resuming from faults-demo.store with faults off:"
 	$(PYTHON) -m repro water-raman --n 2 --solver dense \
-		--retries 2 --run-store faults-demo.store
+		--retries 2 --canonical-cache faults-demo.store
 
 # the fault-injection suite with the numerical sanitizer on — every
 # recovery path (retry, reissue, pool restart, skip, resume) under
-# full contract checking
+# full contract checking, plus the store's checkpoint and durability
+# properties (torn writes, killed writers, crash debris)
 test-faults:
 	QF_SANITIZE=1 $(PYTHON) -m pytest -x -q \
 		tests/pipeline/test_resilience.py \
-		tests/pipeline/test_runstore_properties.py
+		tests/pipeline/test_runstore_properties.py \
+		tests/pipeline/test_canonical_store.py
 
-# the canonical-cache invariance harness with the sanitizer on,
-# INCLUDING the slow split (-m "" re-selects @pytest.mark.slow, e.g.
-# the 500-example exhaustive key-invariance property) and the golden
-# rigid-vs-off equivalence gate (docs/caching.md)
+# the store's invariance harness with the sanitizer on, INCLUDING the
+# slow split (-m "" re-selects @pytest.mark.slow, e.g. the 500-example
+# exhaustive key-invariance property), its integration with the
+# pipeline, executor and CLI, and the golden cold-vs-warm equivalence
+# gate (docs/caching.md)
 test-canonical:
 	QF_SANITIZE=1 $(PYTHON) -m pytest -x -q -m "" \
 		tests/pipeline/test_canonical_properties.py \
 		tests/pipeline/test_canonical_degenerate.py \
-		tests/pipeline/test_canonical_store.py \
+		tests/pipeline/test_canonical_integration.py \
+		tests/pipeline/test_cache.py \
 		tests/pipeline/test_golden_spectra.py
 
 # line-coverage gate over src/repro/pipeline on the tier-1 suite

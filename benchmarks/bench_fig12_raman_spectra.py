@@ -67,7 +67,7 @@ def test_fig12a_gas_phase_peptide(benchmark):
         opt = optimize_geometry(geom, eri_mode="df")
         assert opt.converged
         pipe = make_pipeline(protein=opt.geometry, residues=residues,
-                             cache_dir=CACHE_DIR)
+                             canonical_cache=CACHE_DIR)
         return pipe.run(omega_cm1=OMEGA, sigma_cm1=5.0, solver="dense"), opt
 
     result, _opt = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -90,7 +90,7 @@ def test_fig12b_water_box(benchmark):
     def run():
         waters = water_box(4, seed=3)
         pipe = make_pipeline(waters=waters, relax_waters=True,
-                             cache_dir=CACHE_DIR)
+                             canonical_cache=CACHE_DIR)
         return pipe.run(omega_cm1=OMEGA, sigma_cm1=20.0, solver="lanczos",
                         lanczos_k=80)
 
@@ -120,7 +120,7 @@ def test_fig12c_peptide_in_water(benchmark):
         waters = waters[:3]
         pipe = make_pipeline(protein=opt.geometry, residues=residues,
                              waters=waters, relax_waters=True,
-                             cache_dir=CACHE_DIR)
+                             canonical_cache=CACHE_DIR)
         return pipe.run(omega_cm1=OMEGA, sigma_cm1=20.0, solver="dense")
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -46,7 +46,7 @@ def _apply_resilience(args):
         os.environ["QF_FAULTS"] = args.inject_faults
     wants = any(
         getattr(args, name, None) is not None
-        for name in ("retries", "timeout_s", "failure_policy", "run_store")
+        for name in ("retries", "timeout_s", "failure_policy")
     )
     if not wants:
         return {}
@@ -57,26 +57,16 @@ def _apply_resilience(args):
         timeout_s=args.timeout_s,
         failure_policy=args.failure_policy or "fail_fast",
     )
-    return {"resilience": policy, "run_store": args.run_store}
-
-
-def _canonical_kwargs(args) -> dict:
-    """Resolve --canonical-cache/--canonical into pipeline kwargs."""
-    kwargs = {}
-    if getattr(args, "canonical_cache", None):
-        kwargs["canonical_cache"] = args.canonical_cache
-    if getattr(args, "canonical", None):
-        kwargs["canonical_mode"] = args.canonical
-    return kwargs
+    return {"resilience": policy}
 
 
 def _report_canonical(result) -> None:
     stats = result.canonical
-    if stats is None:
+    if "hits" not in stats:
         return
-    print(f"canonical cache ({stats['mode']}): {stats['hits']} hits, "
+    print(f"canonical cache: {stats['hits']} hits, "
           f"{stats['misses']} misses, {stats['rotations']} rotations, "
-          f"{stats['writes']} writes "
+          f"{stats['writes']} writes, {stats['rejects']} rejects "
           f"(hit rate {100 * stats['hit_rate']:.0f}%)")
 
 
@@ -84,7 +74,7 @@ def _report_resilience(result) -> None:
     res = result.throughput.resilience if result.throughput else None
     if res is None:
         return
-    print(f"resilience: {res['store_hits']} from store, "
+    print(f"resilience: {res['store_writes']} checkpointed, "
           f"{res['retries']} retries, {res['reissues']} reissues, "
           f"{res['timeouts']} timeouts, {res['pool_restarts']} pool restarts")
     if result.skipped_fragments:
@@ -136,8 +126,7 @@ def _finish_obs(args, tracer, result, command: str, config: dict) -> None:
             # record, not just buried in the throughput sub-dict
             extras["partial_spectrum"] = True
             extras["skipped_fragments"] = list(result.skipped_fragments)
-        if result.canonical is not None:
-            extras["canonical_cache"] = dict(result.canonical)
+        extras["canonical_cache"] = dict(result.canonical)
         manifest = collect_manifest(
             command=command, config=config,
             seeds={"seed": getattr(args, "seed", None)},
@@ -162,7 +151,7 @@ def _cmd_water_raman(args) -> int:
         waters=water_box(args.n, seed=args.seed), relax_waters=True,
         verbose=args.verbose,
         executor=args.executor, max_workers=args.workers,
-        **resilience_kwargs, **_canonical_kwargs(args),
+        canonical_cache=args.canonical_cache, **resilience_kwargs,
     )
     omega = np.linspace(200, 5200, 1000)
     result = pipe.run(omega_cm1=omega, sigma_cm1=args.sigma,
@@ -207,7 +196,8 @@ def _cmd_peptide_raman(args) -> int:
     pipe = QFRamanPipeline(protein=opt.geometry, residues=residues,
                            verbose=args.verbose,
                            executor=args.executor, max_workers=args.workers,
-                           **resilience_kwargs, **_canonical_kwargs(args))
+                           canonical_cache=args.canonical_cache,
+                           **resilience_kwargs)
     omega = np.linspace(200, 5200, 1200)
     result = pipe.run(omega_cm1=omega, sigma_cm1=args.sigma,
                       solver=args.solver)
@@ -367,30 +357,19 @@ def main(argv: list[str] | None = None) -> int:
                  "spectrum",
         )
         p.add_argument(
-            "--run-store", default=None, metavar="DIR",
-            help="checkpoint finished fragments to DIR; rerunning with "
-                 "the same DIR resumes an interrupted run bit-identically",
-        )
-        p.add_argument(
             "--inject-faults", default=None, metavar="SPEC",
             help="deterministic fault injection (= QF_FAULTS), e.g. "
                  "'crash:water[0]@1;hang:ww[0,1]@1:0.5' — see "
                  "docs/resilience.md for the grammar",
         )
-        # rigid-motion canonical cache (docs/caching.md) — a persistent
-        # global store shared across runs and systems
+        # the fragment-response store (docs/caching.md) — persistent,
+        # shared across runs and systems
         p.add_argument(
             "--canonical-cache", default=None, metavar="DIR",
-            help="persistent canonical fragment store: rigidly "
-                 "transformed copies of any fragment ever stored in DIR "
-                 "are rotated back instead of recomputed",
-        )
-        p.add_argument(
-            "--canonical", choices=("off", "exact", "rigid"), default=None,
-            help="canonical-cache mode (= QF_CANON; default rigid when "
-                 "--canonical-cache is given): exact hits only bit-equal "
-                 "geometries, rigid also hits rotated/translated/"
-                 "permuted copies",
+            help="persistent fragment store: exact repeats are served "
+                 "verbatim (a resilient run resumes from DIR "
+                 "bit-identically) and rigidly transformed copies are "
+                 "rotated back instead of recomputed",
         )
 
     p = sub.add_parser("water-raman", help="Raman spectrum of a water box")

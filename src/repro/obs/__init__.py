@@ -7,7 +7,7 @@ its numbers from here). Four pieces:
   capture and merge-at-join; zero-cost :class:`NullTracer` when off.
 - :mod:`repro.obs.counters` — one registry for the formerly ad-hoc
   counts (ERIs evaluated/screened, SCF/CPHF iterations, DIIS resets,
-  cache hits/misses, rigid-dedupe rotations).
+  fragment-store hits/misses, rigid-dedupe rotations).
 - :mod:`repro.obs.export` — JSONL event log, Chrome trace-event JSON
   (Perfetto-loadable), Prometheus text metrics, and a
   ``ThroughputReport`` derivation from the span stream.

@@ -9,7 +9,6 @@ onto the simulated supercomputers for timing studies.
 
 from repro.pipeline.canonical import (
     CanonicalStore,
-    canon_mode,
     canonical_key,
     canonicalize,
 )
@@ -28,7 +27,6 @@ from repro.pipeline.resilience import (
     ResiliencePolicy,
     ResilienceReport,
     ResilientExecutor,
-    RunStore,
 )
 from repro.pipeline.rigid import kabsch_rotation, rotate_response
 
@@ -36,7 +34,6 @@ __all__ = [
     "PipelineResult",
     "QFRamanPipeline",
     "CanonicalStore",
-    "canon_mode",
     "canonical_key",
     "canonicalize",
     "FragmentExecutor",
@@ -51,7 +48,6 @@ __all__ = [
     "ResiliencePolicy",
     "ResilienceReport",
     "ResilientExecutor",
-    "RunStore",
     "kabsch_rotation",
     "rotate_response",
 ]

@@ -1,18 +1,13 @@
-"""On-disk cache for fragment responses.
+"""Keys and serialization for the fragment-response store.
 
 A production QF run is hours of independent piece calculations; loss of
 a process should not lose finished work (the paper's master re-queues
-unfinished fragments — finished ones live in its result store). This
-module is that result store for the laptop pipeline: each
-:class:`~repro.dfpt.hessian.FragmentResponse` is keyed by an exact
-geometry hash (symbols + coordinates rounded to 1e-9 bohr + the level
-of theory) and saved as one ``.npz`` file.
-
-The hashing and (de)serialization helpers are shared with the
-fault-tolerance layer (:class:`repro.pipeline.resilience.RunStore`
-persists per-run results under :func:`task_key`, which extends
-:func:`response_key` with the full execution config so a resumed run
-only trusts results produced under identical settings).
+unfinished fragments — finished ones live in its result store). The
+store itself is :class:`repro.pipeline.canonical.CanonicalStore`; this
+module holds what it is built from: the exact content hash of one
+fragment task (:func:`task_key`, geometry + every setting that can
+change the numbers), the ``.npz`` round trip of a
+:class:`~repro.dfpt.hessian.FragmentResponse`, and the atomic writer.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ import numpy as np
 
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
-from repro.obs.counters import counters
 
 #: optional FragmentResponse array fields persisted when present
 _OPTIONAL_FIELDS = ("dalpha_dr", "alpha")
@@ -35,14 +29,6 @@ def _geometry_digest(h, geometry: Geometry) -> None:
     h.update(",".join(geometry.symbols).encode())
     h.update(np.round(geometry.coords, 9).tobytes())
     h.update(f"|{geometry.charge}".encode())
-
-
-def response_key(geometry: Geometry, basis_name: str, delta: float) -> str:
-    """Exact-content hash of (geometry, level of theory)."""
-    h = hashlib.sha256()
-    _geometry_digest(h, geometry)
-    h.update(f"|{basis_name}|{delta:.3e}".encode())
-    return h.hexdigest()[:24]
 
 
 def config_encoding(
@@ -76,12 +62,11 @@ def task_key(geometry: Geometry, basis_name: str, delta: float,
              **config) -> str:
     """Content hash of one fragment task: geometry + full run config.
 
-    Unlike :func:`response_key` (geometry + level of theory only), this
-    covers every knob that can change the numerical result
-    (:func:`config_encoding`), so a hit is guaranteed bit-compatible
-    with a fresh computation. Nothing positional (task index, attempt
-    number, submission order) enters the hash, so it is invariant to
-    fragment ordering too.
+    It covers every knob that can change the numerical result
+    (:func:`config_encoding`), so an entry with an equal key is
+    bit-compatible with a fresh computation. Nothing positional (task
+    index, attempt number, submission order) enters the hash, so it is
+    invariant to fragment ordering too.
     """
     h = hashlib.sha256()
     _geometry_digest(h, geometry)
@@ -103,8 +88,7 @@ def response_payload(response: FragmentResponse) -> dict[str, np.ndarray]:
     return payload
 
 
-def response_from_npz(data, geometry: Geometry,
-                      meta: dict | None = None) -> FragmentResponse:
+def response_from_npz(data, geometry: Geometry) -> FragmentResponse:
     """Rebuild a :class:`FragmentResponse` from a loaded ``.npz``."""
 
     def opt(name):
@@ -117,7 +101,7 @@ def response_from_npz(data, geometry: Geometry,
         dalpha_dr=opt("dalpha_dr"),
         alpha=opt("alpha"),
         gradient=data["gradient"],
-        meta=dict(meta or {"cached": True}),
+        meta={"cached": True},
     )
 
 
@@ -132,63 +116,3 @@ def write_npz_atomic(path: Path, payload: dict[str, np.ndarray]) -> Path:
     np.savez_compressed(tmp, **payload)
     tmp.replace(path)
     return path
-
-
-class ResponseCache:
-    """Directory-backed store of fragment responses.
-
-    Keyed by exact geometry. With a canonical mode other than ``off``
-    (``canonical=`` argument, default from ``QF_CANON``) the directory
-    additionally holds a rigid-motion canonical store
-    (:class:`repro.pipeline.canonical.CanonicalStore`): an exact miss
-    falls back to the canonical entry of the same fragment class —
-    rotated copies of an already-cached geometry hit instead of
-    recomputing — and every store also writes the canonical entry.
-    """
-
-    def __init__(self, directory: str | Path,
-                 canonical: str | None = None):
-        from repro.pipeline.canonical import CANON_OFF, CanonicalStore, \
-            canon_mode
-
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        mode = canon_mode() if canonical is None else canonical
-        self.canonical = (
-            CanonicalStore(self.directory, mode=mode)
-            if mode != CANON_OFF else None
-        )
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"resp_{key}.npz"
-
-    def load(self, geometry: Geometry, basis_name: str, delta: float
-             ) -> FragmentResponse | None:
-        path = self._path(response_key(geometry, basis_name, delta))
-        if not path.exists():
-            if self.canonical is not None:
-                stored = self.canonical.load(geometry, basis_name, delta)
-                if stored is not None:
-                    self.hits += 1
-                    counters().inc("cache.hits")
-                    return stored
-            self.misses += 1
-            counters().inc("cache.misses")
-            return None
-        data = np.load(path, allow_pickle=False)
-        self.hits += 1
-        counters().inc("cache.hits")
-        return response_from_npz(data, geometry)
-
-    def store(self, response: FragmentResponse, basis_name: str,
-              delta: float) -> Path:
-        key = response_key(response.geometry, basis_name, delta)
-        if self.canonical is not None:
-            self.canonical.store(response.geometry, response, basis_name,
-                                 delta)
-        return write_npz_atomic(self._path(key), response_payload(response))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("resp_*.npz"))

@@ -1,10 +1,9 @@
-"""Rigid-motion canonical fragment cache.
+"""The persistent fragment-response store, keyed by rigid-motion class.
 
 A 100M-atom water box is millions of *nearly identical* fragments: the
-same water geometry repeated under rotations and translations. The
-exact-coordinate stores (:class:`~repro.pipeline.cache.ResponseCache`,
-:class:`~repro.pipeline.resilience.RunStore`) treat every rigid copy
-as new work; this module collapses them onto one entry.
+same water geometry repeated under rotations and translations. This
+module stores one response per rigid class and serves it to every
+copy, in this run and in every later one.
 
 Canonicalization
 ----------------
@@ -32,49 +31,50 @@ mirror images (enantiomers) keep distinct keys — an improper rotation
 cannot be applied to the stored tensors by
 :func:`~repro.pipeline.rigid.rotate_response`.
 
-Degenerate geometries (linear molecules, symmetric tops, accidentally
-degenerate inertia tensors) need no special eigenbasis handling, since
-no eigenbasis is ever computed; exactly-linear fragments fall back to
-an axis-projection frame (coordinates off the molecular axis are
-sub-tolerance by construction and stored as zero). One caveat: a
-linear geometry cannot pin its azimuthal orientation, so a linear
-fragment's response is restored up to a rotation about the molecular
-axis — exact for a physically linear system (whose true response is
-axially symmetric), with any residual bounded by the finite-difference
-noise that already separates two independent computations.
+Degenerate geometries (symmetric tops, accidentally degenerate inertia
+tensors) need no special eigenbasis handling, since no eigenbasis is
+ever computed. Exactly-linear fragments fall back to an
+axis-projection frame (coordinates off the molecular axis are
+sub-tolerance by construction and stored as zero). A linear geometry
+cannot pin its azimuthal orientation, so the rotation between two
+linear copies is known only up to a turn about the molecular axis;
+the store therefore never serves a *rotated* hit for a linear
+fragment (see below).
 
 Store
 -----
-:class:`CanonicalStore` is a persistent, content-addressed, *global*
-response store: entries are written once per canonical class and hit by
-every rigid copy in every later run (atomic tmp+rename writes, safe for
-concurrent writers; stray ``*.tmp.npz`` debris is ignored). Three modes
-(``QF_CANON``):
+:class:`CanonicalStore` writes one ``canon_<key>.npz`` per rigid class
+(atomic tmp+rename writes, safe for concurrent writers; stray
+``*.tmp.npz`` debris is ignored). An entry holds the response in the
+**lab frame** of the geometry it was computed for, that geometry's
+coordinates, its exact :func:`~repro.pipeline.cache.task_key`, and its
+canonical frame (rotation, atom permutation, canonical coordinates).
+Storing is idempotent: a class that already has an entry keeps it.
 
-``off``
-    disabled — every lookup misses;
-``exact``
-    keyed by exact coordinates (a safe fallback: hits only bit-exact
-    repeats, never rotates anything);
-``rigid``
-    keyed canonically; responses are stored in the canonical frame and
-    rotated back into the lab frame on hit via the same tensor
-    transformation as :func:`~repro.pipeline.rigid.rotate_response`.
-
-A ``rigid`` hit is *validated* before it is trusted: the stored
-canonical coordinates must match the target's to
-:data:`VALIDATE_RMSD_BOHR`, else the entry is rejected and counted
-(``cache.canonical_rejects``) — a silently mis-rotated tensor would
-still produce a plausible spectrum, so the invariance test harness
+A lookup first *validates* the entry: the stored canonical coordinates
+must match the target's to :data:`VALIDATE_RMSD_BOHR`, else the entry
+is rejected — a silently mis-rotated tensor would still produce a
+plausible spectrum, so the invariance test harness
 (``tests/pipeline/test_canonical_properties.py``) and this runtime
-check are both load-bearing. See ``docs/caching.md``.
+check are both load-bearing. Then:
+
+1. if the stored ``task_key`` equals the target's, the arrays are
+   returned verbatim (an exact hit: bit-identical kill/resume);
+2. otherwise the lab-frame entry is permuted and rotated into the
+   target's frame (a rotated hit) — unless the fragment is linear,
+   which is rejected instead.
+
+Every reject is counted by reason in :meth:`CanonicalStore.stats`.
+Bump :data:`KEY_VERSION` whenever the entry layout changes, so a
+store written in an older format is never opened. See
+``docs/caching.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import zipfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -86,29 +86,24 @@ from repro.pipeline.cache import (
     config_encoding,
     response_from_npz,
     response_payload,
+    task_key,
     write_npz_atomic,
 )
 from repro.pipeline.rigid import rotate_response
 
 __all__ = [
     "CANON_DECIMALS",
-    "CANON_EXACT",
-    "CANON_MODES",
-    "CANON_OFF",
-    "CANON_RIGID",
     "CanonicalFrame",
     "CanonicalStore",
+    "KEY_VERSION",
     "VALIDATE_RMSD_BOHR",
-    "canon_mode",
     "canonical_key",
     "canonicalize",
     "permute_response",
 ]
 
-CANON_OFF = "off"
-CANON_EXACT = "exact"
-CANON_RIGID = "rigid"
-CANON_MODES = (CANON_OFF, CANON_EXACT, CANON_RIGID)
+#: version tag hashed into every key; bumped with the entry layout
+KEY_VERSION = "canon-v2"
 
 #: quantization grid of the canonical coordinates: two geometries whose
 #: canonical coordinates agree to this many decimals (bohr) share a key
@@ -122,16 +117,6 @@ _AXIS_TOL = 1.0e-6
 #: match the target's within this RMSD (bohr); ties between
 #: symmetry-equivalent frames differ by at most the quantization grid
 VALIDATE_RMSD_BOHR = 1.0e-4
-
-
-def canon_mode(default: str = CANON_OFF) -> str:
-    """The canonical-cache mode from ``QF_CANON`` (validated)."""
-    mode = os.environ.get("QF_CANON", "").strip().lower() or default
-    if mode not in CANON_MODES:
-        raise ValueError(
-            f"QF_CANON must be one of {CANON_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 # -- canonical frame construction ------------------------------------------
@@ -256,7 +241,7 @@ def canonicalize(geometry: Geometry,
     encoding, perm, canon, frame = best
 
     h = hashlib.sha256()
-    h.update(f"canon-v1|{decimals}|{geometry.charge}|".encode())
+    h.update(f"{KEY_VERSION}|{decimals}|{geometry.charge}|".encode())
     h.update(",".join(symbols[i] for i in perm).encode())
     h.update(_quantize(canon[perm], decimals).tobytes())
     return CanonicalFrame(
@@ -270,6 +255,14 @@ def canonicalize(geometry: Geometry,
     )
 
 
+def _class_key(frame: CanonicalFrame, basis_name: str, delta: float,
+               **config) -> str:
+    h = hashlib.sha256()
+    h.update(frame.key.encode())
+    h.update(config_encoding(basis_name, delta, **config))
+    return h.hexdigest()[:24]
+
+
 def canonical_key(geometry: Geometry, basis_name: str, delta: float, *,
                   decimals: int = CANON_DECIMALS, **config) -> str:
     """Content hash of (canonical geometry class, full run config).
@@ -280,10 +273,8 @@ def canonical_key(geometry: Geometry, basis_name: str, delta: float, *,
     quantization grid) *and* every config knob that can change the
     numbers matches.
     """
-    h = hashlib.sha256()
-    h.update(canonicalize(geometry, decimals=decimals).key.encode())
-    h.update(config_encoding(basis_name, delta, **config))
-    return h.hexdigest()[:24]
+    return _class_key(canonicalize(geometry, decimals=decimals),
+                      basis_name, delta, **config)
 
 
 # -- response reindexing ---------------------------------------------------
@@ -330,139 +321,86 @@ def permute_response(response: FragmentResponse, perm,
 
 
 class CanonicalStore:
-    """Persistent content-addressed global store of fragment responses.
+    """Persistent content-addressed store of fragment responses.
 
-    One ``canon_<key>.npz`` per canonical class (``rigid``) or exact
-    geometry (``exact``); see the module docstring for the mode
-    semantics. Writes are atomic and idempotent — concurrent runs may
-    share one directory — and per-instance hit/miss/rotation statistics
-    are mirrored into the ``cache.canonical_*`` counters of
-    :mod:`repro.obs`.
+    One ``canon_<key>.npz`` per rigid class, kept in the lab frame of
+    the geometry it was computed for; see the module docstring for the
+    entry layout and the exact-first lookup. Writes are atomic and
+    idempotent — concurrent runs may share one directory — and
+    per-instance statistics are mirrored into the ``cache.canonical_*``
+    counters of :mod:`repro.obs`.
     """
 
-    def __init__(self, directory: str | Path, mode: str | None = None,
+    def __init__(self, directory: str | Path,
                  decimals: int = CANON_DECIMALS):
-        if mode is None:
-            mode = canon_mode()
-        if mode not in CANON_MODES:
-            raise ValueError(
-                f"canonical mode must be one of {CANON_MODES}, got {mode!r}"
-            )
         self.directory = Path(directory)
-        self.mode = mode
+        self.directory.mkdir(parents=True, exist_ok=True)
         self.decimals = decimals
-        if mode != CANON_OFF:
-            self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self.rotations = 0
         self.writes = 0
         self.rejects = 0
-
-    # -- keys --------------------------------------------------------------
+        self.reject_reasons: Counter[str] = Counter()
 
     def key(self, geometry: Geometry, basis_name: str, delta: float,
             **config) -> str:
-        if self.mode == CANON_RIGID:
-            return canonical_key(geometry, basis_name, delta,
-                                 decimals=self.decimals, **config)
-        # exact mode: reuse the exact-coordinate task hash, namespaced
-        # so the entry can never shadow a rigid one
-        from repro.pipeline.cache import task_key
+        return canonical_key(geometry, basis_name, delta,
+                             decimals=self.decimals, **config)
 
-        return task_key(geometry, basis_name, delta,
-                        extra={"canon": CANON_EXACT}, **config)
+    def _locate(self, geometry: Geometry, basis_name: str, delta: float,
+                config: dict) -> tuple[CanonicalFrame, Path]:
+        frame = canonicalize(geometry, decimals=self.decimals)
+        key = _class_key(frame, basis_name, delta, **config)
+        return frame, self.directory / f"canon_{key}.npz"
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"canon_{key}.npz"
-
-    # -- store -------------------------------------------------------------
-
-    def store(
-        self,
-        geometry: Geometry,
-        response: FragmentResponse,
-        basis_name: str,
-        delta: float,
-        *,
-        compute_raman: bool = True,
-        eri_mode: str = "auto",
-        schwarz_cutoff: float = 1.0e-12,
-    ) -> Path | None:
-        """Persist ``response`` under its canonical (or exact) key."""
-        if self.mode == CANON_OFF:
+    def store(self, geometry: Geometry, response: FragmentResponse,
+              basis_name: str, delta: float, **config) -> Path | None:
+        """Persist ``response`` for ``geometry``'s rigid class; returns
+        the written entry, or None when the class already has one."""
+        frame, path = self._locate(geometry, basis_name, delta, config)
+        if path.exists():
             return None
-        key = self.key(geometry, basis_name, delta,
-                       compute_raman=compute_raman,
-                       eri_mode=eri_mode, schwarz_cutoff=schwarz_cutoff)
-        if self.mode == CANON_EXACT:
-            payload = response_payload(response)
-        else:
-            frame = canonicalize(geometry, decimals=self.decimals)
-            canon_geom = Geometry(list(frame.symbols), frame.coords,
-                                  charge=geometry.charge)
-            in_order = permute_response(response, frame.perm,
-                                        geometry=canon_geom)
-            in_frame = rotate_response(in_order, frame.rotation, canon_geom)
-            payload = response_payload(in_frame)
-            payload["canon_coords"] = frame.coords
-            payload["canon_symbols"] = np.array(frame.symbols, dtype="U4")
-        payload["canon_charge"] = np.array(geometry.charge)
+        payload = response_payload(response)
+        payload.update(
+            lab_coords=np.asarray(geometry.coords, dtype=float),
+            task_key=np.array(task_key(geometry, basis_name, delta,
+                                       **config)),
+            canon_rotation=frame.rotation,
+            canon_perm=frame.perm,
+            canon_coords=frame.coords,
+            canon_symbols=np.array(frame.symbols, dtype="U4"),
+            canon_charge=np.array(geometry.charge),
+        )
         self.writes += 1
         counters().inc("cache.canonical_writes")
-        return write_npz_atomic(self._path(key), payload)
+        return write_npz_atomic(path, payload)
 
-    # -- load --------------------------------------------------------------
-
-    def load(
-        self,
-        geometry: Geometry,
-        basis_name: str,
-        delta: float,
-        *,
-        compute_raman: bool = True,
-        eri_mode: str = "auto",
-        schwarz_cutoff: float = 1.0e-12,
-    ) -> FragmentResponse | None:
+    def load(self, geometry: Geometry, basis_name: str, delta: float,
+             **config) -> FragmentResponse | None:
         """The stored response for ``geometry``, in its lab frame and
-        atom order — or None on a miss (including a failed validation
-        of a ``rigid`` entry)."""
-        if self.mode == CANON_OFF:
-            return None
-        key = self.key(geometry, basis_name, delta,
-                       compute_raman=compute_raman,
-                       eri_mode=eri_mode, schwarz_cutoff=schwarz_cutoff)
-        path = self._path(key)
+        atom order — or None on a miss or a rejected entry."""
+        frame, path = self._locate(geometry, basis_name, delta, config)
         if not path.exists():
             return self._miss()
         try:
             with np.load(path, allow_pickle=False) as data:
-                if self.mode == CANON_EXACT:
-                    resp = response_from_npz(
-                        data, geometry,
-                        meta={"canonical": True,
-                              "canonical_mode": self.mode},
-                    )
-                else:
-                    return self._load_rigid(data, geometry, key)
+                return self._restore(
+                    data, geometry, frame,
+                    task_key(geometry, basis_name, delta, **config),
+                )
         except (OSError, ValueError, KeyError, zipfile.BadZipFile):
             # a torn or foreign file can only appear if something wrote
             # past the atomic tmp+rename protocol; treat it as absent
-            return self._reject("unreadable entry")
-        self.hits += 1
-        counters().inc("cache.canonical_hits")
-        return resp
+            return self._reject("unreadable")
 
-    def _load_rigid(self, data, geometry: Geometry,
-                    key: str) -> FragmentResponse | None:
-        frame = canonicalize(geometry, decimals=self.decimals)
+    def _restore(self, data, geometry: Geometry, frame: CanonicalFrame,
+                 target_key: str) -> FragmentResponse | None:
         stored_symbols = tuple(str(s) for s in data["canon_symbols"])
-        stored_coords = np.asarray(data["canon_coords"], dtype=float)
         if stored_symbols != frame.symbols \
                 or int(data["canon_charge"]) != geometry.charge:
-            return self._reject("species/charge mismatch")
-        if stored_coords.shape != frame.coords.shape:
-            return self._reject("shape mismatch")
+            return self._reject("species")
+        stored_coords = np.asarray(data["canon_coords"], dtype=float)
         rmsd = float(np.sqrt(np.mean(
             np.sum((stored_coords - frame.coords) ** 2, axis=1)
         )))
@@ -470,21 +408,24 @@ class CanonicalStore:
             # the guard against the silent-wrong-answer failure mode: a
             # key collision or a quantization-edge geometry must become
             # a recompute, never a mis-rotated tensor
-            return self._reject(f"canonical frame mismatch rmsd={rmsd:.2e}")
-        canon_geom = Geometry(list(stored_symbols), stored_coords,
-                              charge=geometry.charge)
-        in_frame = response_from_npz(
-            data, canon_geom,
-            meta={"canonical": True, "canonical_mode": self.mode,
-                  "canonical_key": key},
+            return self._reject("frame")
+        stored = response_from_npz(data, geometry)
+        if str(data["task_key"]) == target_key:
+            self.hits += 1
+            counters().inc("cache.canonical_hits")
+            return stored
+        if frame.linear:
+            # the azimuth about the molecular axis is unknown, so the
+            # rotation between the two copies is not determined
+            return self._reject("linear")
+        # stored lab frame -> canonical frame -> target lab frame:
+        # target atom perm_t[k] is stored atom perm_s[k]
+        perm = data["canon_perm"][frame.inverse_perm()]
+        rotation = frame.rotation.T @ data["canon_rotation"]
+        resp = rotate_response(
+            permute_response(stored, perm, geometry=geometry),
+            rotation, geometry,
         )
-        perm_geom = Geometry(
-            [geometry.symbols[i] for i in frame.perm],
-            geometry.coords[frame.perm], charge=geometry.charge,
-        )
-        in_lab = rotate_response(in_frame, frame.rotation.T, perm_geom)
-        resp = permute_response(in_lab, frame.inverse_perm(),
-                                geometry=geometry)
         self.hits += 1
         self.rotations += 1
         counters().inc("cache.canonical_hits")
@@ -498,37 +439,38 @@ class CanonicalStore:
 
     def _reject(self, why: str):
         self.rejects += 1
+        self.reject_reasons[why] += 1
         counters().inc("cache.canonical_rejects")
         return self._miss()
 
-    # -- task adapters (RunStore / executor integration) -------------------
+    # -- task adapters (pipeline / executor integration) -------------------
+
+    @staticmethod
+    def _task_config(task) -> dict:
+        return {"compute_raman": task.compute_raman,
+                "eri_mode": task.eri_mode,
+                "schwarz_cutoff": task.schwarz_cutoff}
 
     def load_task(self, task) -> FragmentResponse | None:
-        return self.load(
-            task.geometry, task.basis_name, task.delta,
-            compute_raman=task.compute_raman,
-            eri_mode=task.eri_mode, schwarz_cutoff=task.schwarz_cutoff,
-        )
+        return self.load(task.geometry, task.basis_name, task.delta,
+                         **self._task_config(task))
 
     def store_task(self, task, response: FragmentResponse) -> Path | None:
-        return self.store(
-            task.geometry, response, task.basis_name, task.delta,
-            compute_raman=task.compute_raman,
-            eri_mode=task.eri_mode, schwarz_cutoff=task.schwarz_cutoff,
-        )
+        return self.store(task.geometry, response, task.basis_name,
+                          task.delta, **self._task_config(task))
 
     # -- bookkeeping -------------------------------------------------------
 
     def stats(self) -> dict:
-        """Per-instance hit accounting (for manifests and benchmarks)."""
+        """Per-instance reuse accounting (for manifests and benchmarks)."""
         lookups = self.hits + self.misses
         return {
-            "mode": self.mode,
             "hits": self.hits,
             "misses": self.misses,
             "rotations": self.rotations,
             "writes": self.writes,
             "rejects": self.rejects,
+            "reject_reasons": dict(self.reject_reasons),
             "hit_rate": self.hits / lookups if lookups else 0.0,
         }
 

@@ -517,8 +517,7 @@ def make_executor(
     max_workers: int | None = None,
     chunksize: int = 1,
     resilience=None,
-    run_store=None,
-    canonical: str | None = None,
+    store=None,
 ) -> FragmentExecutor:
     """Instantiate an executor backend by name.
 
@@ -526,30 +525,29 @@ def make_executor(
     backends (ignored by ``serial``); ``chunksize`` only affects
     ``process``. Passing a
     :class:`~repro.pipeline.resilience.ResiliencePolicy` (or True for
-    the defaults) and/or a ``run_store`` directory wraps the backend in
-    the fault-tolerant :class:`~repro.pipeline.resilience.ResilientExecutor`
-    (retries, timeouts, checkpoint/resume; see docs/resilience.md).
-    ``canonical`` selects the run store's rigid-motion cache mode
-    (``off``/``exact``/``rigid``; default resolves ``QF_CANON`` — see
-    docs/caching.md) and is ignored when ``run_store`` is already a
-    :class:`~repro.pipeline.resilience.RunStore` instance.
+    the defaults) wraps the backend in the fault-tolerant
+    :class:`~repro.pipeline.resilience.ResilientExecutor` (retries,
+    timeouts, checkpoint/resume; see docs/resilience.md), which
+    checkpoints every accepted fragment to ``store`` (a
+    :class:`~repro.pipeline.canonical.CanonicalStore`). A store alone
+    does not make a run resilient: the plain backends ignore it.
     """
     if backend not in _BACKENDS:
         raise ValueError(
             f"unknown executor backend {backend!r}; "
             f"expected one of {sorted(_BACKENDS)}"
         )
-    if resilience is not None or run_store is not None:
+    if resilience is not None:
         from repro.pipeline.resilience import ResiliencePolicy, ResilientExecutor
 
-        policy = None if resilience in (None, True) else resilience
+        policy = None if resilience is True else resilience
         if policy is not None and not isinstance(policy, ResiliencePolicy):
             raise TypeError(
                 f"resilience must be a ResiliencePolicy, got {policy!r}"
             )
         return ResilientExecutor(
             base=backend, max_workers=max_workers, policy=policy,
-            store=run_store, canonical=canonical,
+            store=store,
         )
     cls = _BACKENDS[backend]
     if cls is ProcessExecutor:

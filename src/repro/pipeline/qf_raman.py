@@ -36,6 +36,7 @@ from repro.geometry.atoms import Geometry
 from repro.geometry.protein import BuiltResidue
 from repro.obs.counters import counters
 from repro.obs.tracer import get_tracer
+from repro.pipeline.canonical import CanonicalStore
 from repro.pipeline.executor import (
     FragmentExecutor,
     FragmentTask,
@@ -72,9 +73,11 @@ class PipelineResult:
     #: exhausted a fragment's retries (their ``responses`` entries are
     #: None and the spectrum is a flagged partial result)
     skipped_fragments: list[str] = field(default_factory=list)
-    #: rigid-motion canonical-cache accounting (hits/misses/rotations/
-    #: hit_rate) when the run used one — flows into the RunManifest
-    canonical: dict | None = None
+    #: what the run reused and why: in-run rigid rotations, plus the
+    #: store's hits/misses/rotations/writes/reject reasons when the run
+    #: used one (:meth:`QFRamanPipeline.reuse_stats`) — flows into the
+    #: RunManifest
+    canonical: dict = field(default_factory=dict)
 
     @property
     def natoms(self) -> int:
@@ -97,19 +100,15 @@ class QFRamanPipeline:
         min_sequence_separation: int = 3,
         basis_name: str = "sto-3g",
         eri_mode: str = "auto",
-        dedupe_rigid: bool = True,
         compute_raman: bool = True,
         delta: float = 5.0e-3,
         relax_waters: bool = False,
-        cache_dir: str | None = None,
         verbose: bool = False,
         executor: str | FragmentExecutor = "serial",
         max_workers: int | None = None,
         schwarz_cutoff: float = 1.0e-12,
         resilience=None,
-        run_store=None,
         canonical_cache: str | None = None,
-        canonical_mode: str | None = None,
     ):
         if protein is None and not waters:
             raise ValueError("pipeline needs a protein, waters, or both")
@@ -131,7 +130,6 @@ class QFRamanPipeline:
         self.min_sequence_separation = min_sequence_separation
         self.basis_name = basis_name
         self.eri_mode = eri_mode
-        self.dedupe_rigid = dedupe_rigid
         self.compute_raman = compute_raman
         self.delta = delta
         self.verbose = verbose
@@ -140,44 +138,22 @@ class QFRamanPipeline:
         self.executor = executor
         self.max_workers = max_workers
         self.schwarz_cutoff = schwarz_cutoff
-        #: a ResiliencePolicy (or True for defaults) and/or a RunStore
-        #: directory switch the run into fault-tolerant execution —
-        #: retries, timeouts, checkpoint/resume (docs/resilience.md);
-        #: ignored when ``executor`` is a ready instance
+        #: a ResiliencePolicy (or True for defaults) switches the run
+        #: into fault-tolerant execution — retries, timeouts,
+        #: checkpoint/resume (docs/resilience.md); ignored when
+        #: ``executor`` is a ready instance
         self.resilience = resilience
-        self.run_store = run_store
         self.resilience_report: dict | None = None
         self.skipped_fragments: list[str] = []
+        self.rigid_rotations = 0
         self.throughput: ThroughputReport | None = None
         self.timer = Timer()
-        #: rigid-motion canonical cache (docs/caching.md): a persistent
-        #: global store shared across runs — rotated copies of an
-        #: already-stored fragment hit instead of recomputing. The mode
-        #: (off|exact|rigid) comes from ``canonical_mode``, else
-        #: ``QF_CANON``, else ``rigid`` when a store directory is given.
-        from repro.pipeline.canonical import (
-            CANON_OFF,
-            CANON_RIGID,
-            CanonicalStore,
-            canon_mode,
-        )
-
-        self._canonical_param = canonical_mode
-        if canonical_mode is None:
-            canonical_mode = canon_mode(
-                default=CANON_RIGID if canonical_cache else CANON_OFF
-            )
-        self.canonical_mode = canonical_mode
-        self.canonical = None
-        if canonical_cache is not None and canonical_mode != CANON_OFF:
-            self.canonical = CanonicalStore(canonical_cache,
-                                            mode=canonical_mode)
-        self.cache = None
-        if cache_dir is not None:
-            from repro.pipeline.cache import ResponseCache
-
-            self.cache = ResponseCache(cache_dir,
-                                       canonical=self._canonical_param)
+        #: the fragment-response store (docs/caching.md): persistent
+        #: and shared across runs — exact repeats and rotated copies of
+        #: a stored fragment hit instead of recomputing, and a resilient
+        #: run checkpoints into it
+        self.canonical = (CanonicalStore(canonical_cache)
+                          if canonical_cache is not None else None)
 
     # -- steps -----------------------------------------------------------------
 
@@ -198,25 +174,25 @@ class QFRamanPipeline:
                           ) -> tuple[list[FragmentResponse], int]:
         """One :class:`FragmentResponse` per piece (rigid copies reused).
 
-        Three phases: *plan* (resolve rigid duplicates and disk-cache
+        Three phases: *plan* (resolve in-run rigid duplicates and store
         hits, leaving a list of pieces that genuinely need a QM run),
         *execute* (hand those to the configured executor backend —
         serial, process pool, or per-displacement pool), *assemble*
         (fill the per-piece response list in decomposition order,
-        rotating duplicates off their computed representative). The
-        plan mirrors the original serial control flow exactly, so every
-        backend produces identical responses.
+        rotating duplicates off their representative). The plan is the
+        only store lookup, so every backend produces identical
+        responses.
         """
         # -- plan: what does each piece resolve to? --------------------------
-        # rep[sig] = index of the latest piece computed/loaded for sig
+        # rep[sig] = index of the latest representative piece for sig
         rep: dict[tuple, int] = {}
         plan: list[tuple] = []          # ("rotate", ref_idx, rot) |
         #                                 ("cached", resp) | ("compute",)
         tasks: list[FragmentTask] = []
         pieces = decomposition.pieces
         for k, piece in enumerate(pieces):
-            sig = geometry_signature(piece.geometry) if self.dedupe_rigid else None
-            if sig is not None and sig in rep:
+            sig = geometry_signature(piece.geometry)
+            if sig in rep:
                 ref_geom = pieces[rep[sig]].geometry
                 rot, _t, rmsd = kabsch_rotation(
                     ref_geom.coords, piece.geometry.coords
@@ -224,45 +200,24 @@ class QFRamanPipeline:
                 if rmsd < 1.0e-6:
                     plan.append(("rotate", rep[sig], rot))
                     continue
-            if self.cache is not None:
-                stored = self.cache.load(piece.geometry, self.basis_name,
-                                         self.delta)
-                if stored is not None and (
-                    not self.compute_raman or stored.dalpha_dr is not None
-                ):
-                    plan.append(("cached", stored))
-                    if sig is not None:
-                        rep[sig] = k
-                    continue
-            if self.canonical is not None:
-                stored = self.canonical.load(
-                    piece.geometry, self.basis_name, self.delta,
-                    compute_raman=self.compute_raman,
-                    eri_mode=self.eri_mode,
-                    schwarz_cutoff=self.schwarz_cutoff,
-                )
-                if stored is not None and (
-                    not self.compute_raman or stored.dalpha_dr is not None
-                ):
-                    plan.append(("cached", stored))
-                    if sig is not None:
-                        rep[sig] = k
-                    continue
-            plan.append(("compute",))
-            tasks.append(
-                FragmentTask(
-                    index=k,
-                    label=piece.label or f"piece-{k}",
-                    geometry=piece.geometry,
-                    delta=self.delta,
-                    compute_raman=self.compute_raman,
-                    basis_name=self.basis_name,
-                    eri_mode=self.eri_mode,
-                    schwarz_cutoff=self.schwarz_cutoff,
-                )
+            rep[sig] = k
+            task = FragmentTask(
+                index=k,
+                label=piece.label or f"piece-{k}",
+                geometry=piece.geometry,
+                delta=self.delta,
+                compute_raman=self.compute_raman,
+                basis_name=self.basis_name,
+                eri_mode=self.eri_mode,
+                schwarz_cutoff=self.schwarz_cutoff,
             )
-            if sig is not None:
-                rep[sig] = k
+            stored = (self.canonical.load_task(task)
+                      if self.canonical is not None else None)
+            if stored is not None:
+                plan.append(("cached", stored))
+            else:
+                plan.append(("compute",))
+                tasks.append(task)
 
         # -- execute the remaining unique pieces -----------------------------
         computed: dict[int, FragmentResponse] = {}
@@ -271,8 +226,7 @@ class QFRamanPipeline:
             executor = (
                 make_executor(self.executor, max_workers=self.max_workers,
                               resilience=self.resilience,
-                              run_store=self.run_store,
-                              canonical=self._canonical_param)
+                              store=self.canonical)
                 if owns_executor else self.executor
             )
             self._log(
@@ -302,14 +256,10 @@ class QFRamanPipeline:
                 sub = resp.meta.get("timer") if resp is not None else None
                 if sub is not None:
                     self.timer.merge(sub)
-            if self.cache is not None:
-                for task in tasks:
-                    resp = computed.get(task.index)
-                    if resp is not None:
-                        self.cache.store(resp, self.basis_name, self.delta)
             if self.canonical is not None:
-                # populate the global store: one canonical entry per
-                # fragment class, hit by every rigid copy in later runs
+                # one entry per fragment class, hit by every copy in
+                # later runs (a resilient run has already checkpointed
+                # each fragment, and the store keeps the first entry)
                 for task in tasks:
                     resp = computed.get(task.index)
                     if resp is not None:
@@ -321,6 +271,7 @@ class QFRamanPipeline:
         # rotated off them) become None and are flagged for the caller
         responses: list[FragmentResponse | None] = []
         self.skipped_fragments = []
+        self.rigid_rotations = 0
         for k, (piece, entry) in enumerate(zip(pieces, plan)):
             kind = entry[0]
             label = piece.label or f"piece-{k}"
@@ -340,6 +291,7 @@ class QFRamanPipeline:
                     responses.append(None)
                     continue
                 counters().inc("pipeline.rigid_rotations")
+                self.rigid_rotations += 1
                 with self.timer.section("rotate_response"), \
                         get_tracer().span("rotate_response"):
                     responses.append(
@@ -450,9 +402,16 @@ class QFRamanPipeline:
             timer=self.timer,
             throughput=self.throughput,
             skipped_fragments=list(self.skipped_fragments),
-            canonical=(self.canonical.stats()
-                       if self.canonical is not None else None),
+            canonical=self.reuse_stats(),
         )
+
+    def reuse_stats(self) -> dict:
+        """What the last run reused and why: the in-run rigid rotations
+        plus, with a store, its hit/miss/write/reject accounting."""
+        stats = {"rigid_rotations": self.rigid_rotations}
+        if self.canonical is not None:
+            stats.update(self.canonical.stats())
+        return stats
 
     def workload_sizes(self, decomposition: QFDecomposition | None = None
                        ) -> np.ndarray:

@@ -7,14 +7,6 @@ recomputed (§V-A). QF fragment methods make this cheap: every piece is
 an independent, restartable unit. This module brings those semantics
 to the *real* executors of :mod:`repro.pipeline.executor`:
 
-:class:`RunStore`
-    An on-disk checkpoint of finished fragment responses, keyed by a
-    content hash of (geometry, full execution config) via
-    :func:`repro.pipeline.cache.task_key`. Writes are atomic
-    (tmp + rename), so an interrupted run — SIGKILL'd driver, dead
-    worker, power loss — resumes with only the unfinished fragments,
-    and the resumed spectrum is bit-identical to an uninterrupted run.
-
 :class:`ResiliencePolicy`
     Per-fragment retry with exponential backoff and deterministic
     jitter, per-attempt wall-clock timeouts with speculative reissue
@@ -25,7 +17,13 @@ to the *real* executors of :mod:`repro.pipeline.executor`:
     fragments are flagged in the RunManifest.
 
 :class:`ResilientExecutor`
-    The driver threading both through all three backends. Process
+    The driver threading the policy through all three backends, with
+    every accepted fragment checkpointed to the
+    :class:`~repro.pipeline.canonical.CanonicalStore` when one is
+    given. Writes are atomic (tmp + rename), so an interrupted run —
+    SIGKILL'd driver, dead worker, power loss — resumes (through the
+    pipeline's store lookup) with only the unfinished fragments, and
+    the resumed spectrum is bit-identical to an uninterrupted run. Process
     base: fully asynchronous — failures, corrupted results (validated
     with :func:`repro.devtools.contracts.check_response`, always on in
     resilient mode), worker deaths (``BrokenProcessPool`` → pool
@@ -52,19 +50,11 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
-
-import numpy as np
 
 from repro.devtools.contracts import ContractViolation, check_response
 from repro.dfpt.hessian import FragmentResponse
 from repro.obs.counters import counters
-from repro.pipeline.cache import (
-    response_from_npz,
-    response_payload,
-    task_key,
-    write_npz_atomic,
-)
+from repro.pipeline.canonical import CanonicalStore
 from repro.pipeline.executor import (
     DisplacementExecutor,
     FragmentExecutor,
@@ -84,7 +74,6 @@ __all__ = [
     "ResiliencePolicy",
     "ResilienceReport",
     "ResilientExecutor",
-    "RunStore",
 ]
 
 FAIL_FAST = "fail_fast"
@@ -151,82 +140,6 @@ class ResiliencePolicy:
         return asdict(self)
 
 
-class RunStore:
-    """Atomic on-disk checkpoint of finished fragment responses.
-
-    One ``frag_<key>.npz`` per fragment, where ``<key>`` is the
-    content hash of the task (geometry + full execution config) from
-    :func:`repro.pipeline.cache.task_key`. The npz round-trip is
-    bitwise for float64 payloads, so a resumed run reproduces the
-    uninterrupted spectrum exactly. Stray ``*.tmp.npz`` files from a
-    crash mid-write are ignored by :meth:`load`.
-
-    With a canonical mode other than ``off`` (``canonical=`` argument,
-    default from ``QF_CANON``) the store doubles as a rigid-motion
-    global cache: every checkpoint is also written under its canonical
-    key (``canon_<key>.npz``, :class:`repro.pipeline.canonical.CanonicalStore`),
-    and a task missing its exact checkpoint falls back to the canonical
-    entry — so a *different* run over rotated copies of the same
-    fragments resumes from this store too. Exact checkpoints are always
-    consulted first, which keeps same-run resume bit-identical; a
-    canonical fallback hit is exact physics but rotated floating point
-    (tolerance-identical spectra; see ``docs/caching.md``).
-    """
-
-    def __init__(self, directory: str | Path,
-                 canonical: str | None = None):
-        from repro.pipeline.canonical import CANON_OFF, CanonicalStore, \
-            canon_mode
-
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        mode = canon_mode() if canonical is None else canonical
-        self.canonical = (
-            CanonicalStore(self.directory, mode=mode)
-            if mode != CANON_OFF else None
-        )
-
-    def key_for(self, task: FragmentTask) -> str:
-        return task_key(
-            task.geometry, task.basis_name, task.delta,
-            compute_raman=task.compute_raman,
-            eri_mode=task.eri_mode, schwarz_cutoff=task.schwarz_cutoff,
-        )
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"frag_{key}.npz"
-
-    def load(self, task: FragmentTask) -> FragmentResponse | None:
-        path = self._path(self.key_for(task))
-        if not path.exists():
-            if self.canonical is not None:
-                return self.canonical.load_task(task)
-            return None
-        data = np.load(path, allow_pickle=False)
-        counters().inc("resilience.store_hits")
-        return response_from_npz(data, task.geometry,
-                                 meta={"run_store": True})
-
-    def store(self, task: FragmentTask, response: FragmentResponse) -> Path:
-        counters().inc("resilience.store_writes")
-        if self.canonical is not None:
-            self.canonical.store_task(task, response)
-        return write_npz_atomic(self._path(self.key_for(task)),
-                                response_payload(response))
-
-    def _complete(self) -> list[Path]:
-        # "frag_*.npz" would also match "frag_<key>.tmp.npz" debris a
-        # killed writer left behind — only fully renamed files count
-        return [p for p in self.directory.glob("frag_*.npz")
-                if not p.name.endswith(".tmp.npz")]
-
-    def keys(self) -> set[str]:
-        return {p.stem[len("frag_"):] for p in self._complete()}
-
-    def __len__(self) -> int:
-        return len(self._complete())
-
-
 @dataclass
 class ResilienceReport:
     """What the fault-tolerance layer did during one ``run``.
@@ -239,7 +152,6 @@ class ResilienceReport:
 
     policy: dict = field(default_factory=dict)
     n_tasks: int = 0
-    store_hits: int = 0
     store_writes: int = 0
     retries: int = 0
     reissues: int = 0
@@ -254,7 +166,7 @@ class ResilienceReport:
         return asdict(self)
 
     def summary(self) -> str:
-        bits = [f"{self.n_tasks} tasks", f"{self.store_hits} from store",
+        bits = [f"{self.n_tasks} tasks", f"{self.store_writes} checkpointed",
                 f"{self.retries} retries", f"{self.reissues} reissues"]
         if self.skipped:
             bits.append(f"{len(self.skipped)} SKIPPED")
@@ -277,8 +189,8 @@ class ResilientExecutor(FragmentExecutor):
     """Retry/timeout/checkpoint wrapper around an executor backend.
 
     ``run`` never hangs on a lost worker and never discards finished
-    work: completed fragments go to the :class:`RunStore` (when
-    configured) the moment they validate, and failures are retried per
+    work: completed fragments go to the store (when configured) the
+    moment they validate, and failures are retried per
     the :class:`ResiliencePolicy` before the failure policy decides
     between aborting and degrading.
     """
@@ -290,8 +202,7 @@ class ResilientExecutor(FragmentExecutor):
         base: str = "process",
         max_workers: int | None = None,
         policy: ResiliencePolicy | None = None,
-        store: RunStore | str | Path | None = None,
-        canonical: str | None = None,
+        store: CanonicalStore | None = None,
     ):
         if base not in ("serial", "process", "displacement"):
             raise ValueError(
@@ -302,10 +213,6 @@ class ResilientExecutor(FragmentExecutor):
         self.base_name = base
         self.name = f"resilient+{base}"
         self.policy = policy if policy is not None else ResiliencePolicy()
-        if store is not None and not isinstance(store, RunStore):
-            # canonical (QF_CANON by default) additionally keys the
-            # store by rigid-motion class — see RunStore
-            store = RunStore(store, canonical=canonical)
         self.store = store
         self.last_report: ResilienceReport | None = None
         self._pool: ProcessPoolExecutor | None = None
@@ -342,19 +249,11 @@ class ResilientExecutor(FragmentExecutor):
         self.last_report = report
         responses: dict[int, FragmentResponse] = {}
         results: list[FragmentTaskResult] = []
-        todo: list[FragmentTask] = []
-        for task in largest_first(tasks):
-            stored = self.store.load(task) if self.store is not None else None
-            if stored is not None:
-                report.store_hits += 1
-                responses[task.index] = stored
-                continue
-            todo.append(task)
-        if todo:
-            if self.base_name == "process":
-                self._run_pool(todo, responses, results, report)
-            else:
-                self._run_sync(todo, responses, results, report)
+        todo = largest_first(tasks)
+        if self.base_name == "process":
+            self._run_pool(todo, responses, results, report)
+        else:
+            self._run_sync(todo, responses, results, report)
         throughput = self._report(results, sw.elapsed())
         throughput.n_tasks = len(tasks)
         throughput.resilience = report.as_dict()
@@ -391,8 +290,8 @@ class ResilientExecutor(FragmentExecutor):
                 responses, results, report: ResilienceReport) -> None:
         responses[task.index] = result.response
         results.append(result)
-        if self.store is not None:
-            self.store.store(task, result.response)
+        if self.store is not None \
+                and self.store.store_task(task, result.response) is not None:
             report.store_writes += 1
 
     def _give_up(self, task: FragmentTask,

@@ -1,33 +1,38 @@
+"""The fragment-response store used as a cache: exact content keys,
+miss-then-hit on a real fragment, and reuse across pipeline runs."""
+
 import numpy as np
 import pytest
 
 from repro.dfpt import fragment_response
 from repro.geometry import water_molecule
-from repro.pipeline.cache import ResponseCache, response_key
+from repro.pipeline.cache import task_key
+from repro.pipeline.canonical import CanonicalStore
 
 
 def test_key_deterministic_and_sensitive():
     w = water_molecule()
-    k1 = response_key(w, "sto-3g", 5e-3)
-    k2 = response_key(w, "sto-3g", 5e-3)
+    k1 = task_key(w, "sto-3g", 5e-3)
+    k2 = task_key(w, "sto-3g", 5e-3)
     assert k1 == k2
-    assert response_key(w.displaced(0, 0, 1e-6), "sto-3g", 5e-3) != k1
-    assert response_key(w, "sto-3g", 1e-3) != k1
+    assert task_key(w.displaced(0, 0, 1e-6), "sto-3g", 5e-3) != k1
+    assert task_key(w, "sto-3g", 1e-3) != k1
 
 
 def test_miss_then_hit(tmp_path, water_optimized):
-    cache = ResponseCache(tmp_path)
+    cache = CanonicalStore(tmp_path)
     geom = water_optimized.geometry
-    assert cache.load(geom, "sto-3g", 5e-3) is None
+    assert cache.load(geom, "sto-3g", 5e-3, eri_mode="df") is None
     resp = fragment_response(geom, eri_mode="df")
-    cache.store(resp, "sto-3g", 5e-3)
-    back = cache.load(geom, "sto-3g", 5e-3)
+    cache.store(geom, resp, "sto-3g", 5e-3, eri_mode="df")
+    back = cache.load(geom, "sto-3g", 5e-3, eri_mode="df")
     assert back is not None
-    assert back.energy == pytest.approx(resp.energy)
-    assert np.allclose(back.hessian, resp.hessian)
-    assert np.allclose(back.dalpha_dr, resp.dalpha_dr)
+    assert back.energy == resp.energy
+    np.testing.assert_array_equal(back.hessian, resp.hessian)
+    np.testing.assert_array_equal(back.dalpha_dr, resp.dalpha_dr)
     assert back.meta["cached"]
     assert cache.hits == 1 and cache.misses == 1
+    assert cache.rotations == 0
     assert len(cache) == 1
 
 
@@ -36,11 +41,29 @@ def test_pipeline_uses_cache(tmp_path):
 
     waters = [water_molecule()]
     omega = np.linspace(500, 5000, 50)
-    p1 = QFRamanPipeline(waters=waters, cache_dir=tmp_path)
+    p1 = QFRamanPipeline(waters=waters, canonical_cache=tmp_path)
     r1 = p1.run(omega_cm1=omega)
     assert r1.unique_pieces == 1
     # a fresh pipeline over the same geometry computes nothing new
-    p2 = QFRamanPipeline(waters=waters, cache_dir=tmp_path)
+    p2 = QFRamanPipeline(waters=waters, canonical_cache=tmp_path)
     r2 = p2.run(omega_cm1=omega)
     assert r2.unique_pieces == 0
-    assert np.allclose(r1.spectrum.intensity, r2.spectrum.intensity)
+    assert r2.canonical["hits"] == 1 and r2.canonical["rotations"] == 0
+    assert np.array_equal(r1.spectrum.intensity, r2.spectrum.intensity)
+
+
+@pytest.mark.parametrize("changed", [
+    {"compute_raman": False}, {"eri_mode": "df"}, {"schwarz_cutoff": 0.0},
+])
+def test_config_change_misses(tmp_path, changed):
+    """An entry is only served under the settings it was computed with."""
+    from repro.dfpt.hessian import FragmentResponse
+
+    w = water_molecule()
+    resp = FragmentResponse(geometry=w, energy=-1.0, hessian=np.eye(9),
+                            dalpha_dr=None, alpha=None,
+                            gradient=np.zeros((3, 3)))
+    cache = CanonicalStore(tmp_path)
+    cache.store(w, resp, "sto-3g", 5e-3)
+    assert cache.load(w, "sto-3g", 5e-3, **changed) is None
+    assert cache.load(w, "sto-3g", 5e-3) is not None

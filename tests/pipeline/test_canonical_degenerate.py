@@ -159,7 +159,7 @@ def test_repeated_canonicalization_is_bitwise_deterministic():
         np.testing.assert_array_equal(b.rotation, a.rotation)
 
 
-# -- linear round trip (axially symmetric response) -----------------------
+# -- linear fragments: exact hits only -------------------------------------
 
 def _axially_symmetric_response(geometry: Geometry,
                                 axis: np.ndarray) -> FragmentResponse:
@@ -193,34 +193,48 @@ def _axially_symmetric_response(geometry: Geometry,
     )
 
 
-def test_linear_round_trip_with_physical_symmetry(tmp_path):
-    """For a physically linear response (axially symmetric tensors)
-    the rigid store round-trips a rotated copy to 1e-10 even though
-    the azimuthal orientation is not encoded in the geometry."""
-    co2 = Geometry(["C", "O", "O"],
-                   np.array([[0.0, 0.0, 0.0],
-                             [2.2, 0.0, 0.0],
-                             [-2.2, 0.0, 0.0]]))
-    resp = _axially_symmetric_response(co2, np.array([1.0, 0.0, 0.0]))
-    store = CanonicalStore(tmp_path, mode="rigid")
-    store.store(co2, resp, "sto-3g", 5.0e-3)
+def _co2() -> Geometry:
+    return Geometry(["C", "O", "O"],
+                    np.array([[0.0, 0.0, 0.0],
+                              [2.2, 0.0, 0.0],
+                              [-2.2, 0.0, 0.0]]))
 
+
+def _rotated_copy(geometry: Geometry) -> Geometry:
     rng = np.random.default_rng(23)
     rot = random_rotation(rng)
     shift = rng.uniform(-5.0, 5.0, size=3)
     perm = np.array([1, 0, 2])
-    coords = (co2.coords @ rot.T + shift)[perm]
-    copy = Geometry([co2.symbols[i] for i in perm], coords)
-    got = store.load(copy, "sto-3g", 5.0e-3)
-    assert got is not None
+    coords = (geometry.coords @ rot.T + shift)[perm]
+    return Geometry([geometry.symbols[i] for i in perm], coords)
 
-    from repro.pipeline.canonical import permute_response
-    from repro.pipeline.rigid import rotate_response
 
-    # reference: apply the same permutation and rotation directly
-    expect = rotate_response(permute_response(resp, perm), rot, copy)
-    for name in ("hessian", "dalpha_dr", "gradient", "alpha"):
-        np.testing.assert_allclose(
-            getattr(got, name), getattr(expect, name),
-            rtol=0.0, atol=1.0e-10, err_msg=name,
-        )
+def test_linear_rotated_copy_is_refused(tmp_path):
+    """A linear geometry cannot pin its azimuth about the molecular
+    axis, so a rotated hit could come back turned about that axis. The
+    store refuses it — a recompute, never a mis-rotated tensor — and
+    still serves the exact copy verbatim. The stored ``dalpha_dr`` is
+    deliberately *not* axially symmetric, so a rotated hit would be
+    visibly wrong; the symmetric response is refused the same way."""
+    co2 = _co2()
+    sym = _axially_symmetric_response(co2, np.array([1.0, 0.0, 0.0]))
+    skew = np.zeros((3, 3))
+    skew[1, 2] = skew[2, 1] = 0.9       # breaks the C-infinity symmetry
+    asym = FragmentResponse(
+        geometry=co2, energy=sym.energy, hessian=sym.hessian,
+        dalpha_dr=sym.dalpha_dr + skew, alpha=sym.alpha,
+        gradient=sym.gradient,
+    )
+    copy = _rotated_copy(co2)
+    for i, resp in enumerate((asym, sym)):
+        store = CanonicalStore(tmp_path / str(i))
+        store.store(co2, resp, "sto-3g", 5.0e-3)
+
+        assert store.load(copy, "sto-3g", 5.0e-3) is None
+        assert store.stats()["reject_reasons"] == {"linear": 1}
+        assert store.rotations == 0
+
+        exact = store.load(co2, "sto-3g", 5.0e-3)
+        assert exact is not None
+        np.testing.assert_array_equal(exact.dalpha_dr, resp.dalpha_dr)
+        np.testing.assert_array_equal(exact.hessian, resp.hessian)

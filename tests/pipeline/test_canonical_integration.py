@@ -1,11 +1,10 @@
-"""Integration of the canonical store with the existing cache layers.
+"""Integration of the fragment-response store with its callers.
 
-The canonical store rides along three seams — `ResponseCache`,
-`RunStore`, and the pipeline's own global store — and each seam has an
-ordering contract worth pinning: exact entries always win over
-canonical ones (`RunStore` resume stays bit-identical), and the mode
-resolves from the explicit parameter first, then `QF_CANON`, then the
-presence of a store directory.
+The store has one lookup rule and three callers — the pipeline's plan
+phase, the resilient executor's checkpoints and the CLI — and each has
+a contract worth pinning: an exact entry is served verbatim before any
+rotation is attempted (resume stays bit-identical), the plan phase is
+the only lookup, and a store never switches a run into resilient mode.
 """
 
 import numpy as np
@@ -14,9 +13,7 @@ import pytest
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
 from repro.geometry.water import random_rotation
-from repro.pipeline.cache import ResponseCache
-from repro.pipeline.executor import FragmentTask
-from repro.pipeline.resilience import RunStore
+from repro.pipeline.canonical import CanonicalStore
 
 
 def _water(i: int = 0) -> Geometry:
@@ -45,13 +42,13 @@ def _response(g: Geometry, seed: int = 0) -> FragmentResponse:
 
 
 def test_response_cache_rigid_fallback_hits_rotated_copy(tmp_path):
-    cache = ResponseCache(tmp_path, canonical="rigid")
+    store = CanonicalStore(tmp_path)
     g = _water()
-    cache.store(_response(g), "sto-3g", 5.0e-3)
+    store.store(g, _response(g), "sto-3g", 5.0e-3)
     copy = _rotated(g)
-    got = cache.load(copy, "sto-3g", 5.0e-3)
+    got = store.load(copy, "sto-3g", 5.0e-3)
     assert got is not None
-    assert cache.hits == 1
+    assert store.hits == 1 and store.rotations == 1
     # sanity: the rotated-back Hessian has the same spectrum
     np.testing.assert_allclose(
         np.sort(np.linalg.eigvalsh(got.hessian)),
@@ -60,102 +57,92 @@ def test_response_cache_rigid_fallback_hits_rotated_copy(tmp_path):
     )
 
 
-def test_response_cache_off_mode_misses_rotated_copy(tmp_path):
-    cache = ResponseCache(tmp_path, canonical="off")
-    g = _water()
-    cache.store(_response(g), "sto-3g", 5.0e-3)
-    assert cache.load(_rotated(g), "sto-3g", 5.0e-3) is None
-    assert cache.load(g, "sto-3g", 5.0e-3) is not None
-
-
 def test_run_store_canonical_fallback_and_exact_first(tmp_path):
-    store = RunStore(tmp_path, canonical="rigid")
+    """The exact entry wins over rotation: a rotated copy is served by
+    rotating the entry, the identical geometry gets the stored arrays
+    bit for bit — which is what keeps kill/resume bit-identical."""
+    store = CanonicalStore(tmp_path)
     g = _water()
-    task = FragmentTask(index=0, label="w0", geometry=g)
     resp = _response(g)
-    store.store(task, resp)
+    store.store(g, resp, "sto-3g", 5.0e-3)
 
-    # a rotated copy (a different exact key) hits via the canonical
-    # sidecar — this is what a re-oriented resume looks like
-    moved = FragmentTask(index=1, label="w0'", geometry=_rotated(g))
-    got = store.load(moved)
-    assert got is not None
-    assert store.canonical is not None
-    assert store.canonical.hits == 1
+    # a rotated copy (a different task key) hits by rotation — this is
+    # what a re-oriented rerun looks like
+    assert store.load(_rotated(g), "sto-3g", 5.0e-3) is not None
+    assert store.rotations == 1
 
-    # the exact frag_ checkpoint wins over the canonical entry: poison
-    # the canonical file and the identical-geometry load is unaffected
-    for p in tmp_path.glob("canon_*.npz"):
-        p.write_bytes(b"\x00poisoned")
-    exact = store.load(task)
+    # the identical geometry is an exact hit: the stored arrays come
+    # back bit for bit, no rotation applied
+    exact = store.load(g, "sto-3g", 5.0e-3)
     assert exact is not None
+    assert store.rotations == 1 and store.hits == 2
     np.testing.assert_array_equal(exact.hessian, resp.hessian)
+    np.testing.assert_array_equal(exact.dalpha_dr, resp.dalpha_dr)
+    np.testing.assert_array_equal(exact.gradient, resp.gradient)
+
+
+def test_store_keeps_the_first_entry_of_a_class(tmp_path):
+    """Storing is idempotent per rigid class: a rotated copy's response
+    neither rewrites the entry nor counts as a write."""
+    store = CanonicalStore(tmp_path)
+    g = _water()
+    assert store.store(g, _response(g), "sto-3g", 5.0e-3) is not None
+    copy = _rotated(g)
+    assert store.store(copy, _response(copy, seed=1), "sto-3g",
+                       5.0e-3) is None
+    assert len(store) == 1 and store.writes == 1
+    np.testing.assert_array_equal(
+        store.load(g, "sto-3g", 5.0e-3).hessian, _response(g).hessian)
 
 
 def test_run_store_off_by_default(tmp_path, monkeypatch):
-    monkeypatch.delenv("QF_CANON", raising=False)
-    store = RunStore(tmp_path)
-    assert store.canonical is None
-    g = _water()
-    store.store(FragmentTask(index=0, label="w", geometry=g), _response(g))
-    assert store.load(
-        FragmentTask(index=1, label="w'", geometry=_rotated(g))
-    ) is None
-
-
-def test_run_store_mode_from_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("QF_CANON", "rigid")
-    assert RunStore(tmp_path).canonical is not None
-    monkeypatch.setenv("QF_CANON", "bogus")
-    with pytest.raises(ValueError, match="QF_CANON"):
-        RunStore(tmp_path)
-
-
-def test_pipeline_mode_resolution(tmp_path, monkeypatch):
+    """Without ``canonical_cache`` a pipeline has no store: nothing is
+    looked up or written, and only in-run reuse is reported."""
     from repro.pipeline import QFRamanPipeline
 
-    monkeypatch.delenv("QF_CANON", raising=False)
-    waters = [_water()]
-
-    # no store directory, no env: off
-    pipe = QFRamanPipeline(waters=waters)
-    assert pipe.canonical_mode == "off" and pipe.canonical is None
-
-    # a store directory implies rigid
-    pipe = QFRamanPipeline(waters=waters,
-                           canonical_cache=str(tmp_path / "a"))
-    assert pipe.canonical_mode == "rigid" and pipe.canonical is not None
-
-    # the env overrides the implied default...
-    monkeypatch.setenv("QF_CANON", "exact")
-    pipe = QFRamanPipeline(waters=waters,
-                           canonical_cache=str(tmp_path / "b"))
-    assert pipe.canonical_mode == "exact"
-
-    # ...and the explicit parameter overrides the env
-    pipe = QFRamanPipeline(waters=waters,
-                           canonical_cache=str(tmp_path / "c"),
-                           canonical_mode="rigid")
-    assert pipe.canonical_mode == "rigid"
-
-    # off with a directory: store stays disabled
-    pipe = QFRamanPipeline(waters=waters,
-                           canonical_cache=str(tmp_path / "d"),
-                           canonical_mode="off")
+    monkeypatch.chdir(tmp_path)
+    pipe = QFRamanPipeline(waters=[_water()])
     assert pipe.canonical is None
+    assert pipe.reuse_stats() == {"rigid_rotations": 0}
+    assert not list(tmp_path.iterdir())
+
+
+def test_store_does_not_imply_resilience(tmp_path):
+    from repro.pipeline import QFRamanPipeline
+    from repro.pipeline.executor import SerialExecutor, make_executor
+
+    store = CanonicalStore(tmp_path)
+    ex = make_executor("serial", store=store)
+    try:
+        assert type(ex) is SerialExecutor
+    finally:
+        ex.close()
+    pipe = QFRamanPipeline(waters=[_water()], canonical_cache=tmp_path)
+    assert pipe.resilience is None and pipe.canonical is not None
 
 
 def test_cli_flags_parse_and_forward(monkeypatch):
-    from repro.cli import _canonical_kwargs
+    """``--canonical-cache`` reaches the pipeline as ``canonical_cache``
+    and, on its own, leaves the run non-resilient."""
+    import repro.pipeline
+    from repro.cli import main
 
-    class Args:
-        canonical_cache = "runs/canon"
-        canonical = "rigid"
+    class Captured(Exception):
+        pass
 
-    assert _canonical_kwargs(Args()) == {
-        "canonical_cache": "runs/canon", "canonical_mode": "rigid",
-    }
-    Args.canonical = None
-    assert _canonical_kwargs(Args()) == {"canonical_cache": "runs/canon"}
-    Args.canonical_cache = None
-    assert _canonical_kwargs(Args()) == {}
+    def fake_pipeline(**kwargs):
+        raise Captured(kwargs)
+
+    monkeypatch.setattr(repro.pipeline, "QFRamanPipeline", fake_pipeline)
+    with pytest.raises(Captured) as info:
+        main(["water-raman", "--n", "1", "--canonical-cache", "runs/canon"])
+    kwargs = info.value.args[0]
+    assert kwargs["canonical_cache"] == "runs/canon"
+    assert "resilience" not in kwargs
+
+    with pytest.raises(Captured) as info:
+        main(["water-raman", "--n", "1"])
+    assert info.value.args[0]["canonical_cache"] is None
+
+    with pytest.raises(SystemExit):
+        main(["water-raman", "--n", "1", "--run-store", "d"])

@@ -187,7 +187,7 @@ def test_store_load_round_trip_is_identity(geom_spec, seed, resp_seed):
     copy = _transformed(geometry, seed)
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = CanonicalStore(tmp, mode="rigid")
+        store = CanonicalStore(tmp)
         store.store(geometry, response, "sto-3g", 5.0e-3)
         got = store.load(copy, "sto-3g", 5.0e-3)
     assert got is not None, "rigid copy must hit"

@@ -78,7 +78,7 @@ def _response(i):
     )
 
 
-store = CanonicalStore(sys.argv[1], mode="rigid")
+store = CanonicalStore(sys.argv[1])
 mode = sys.argv[2]
 if mode == "sweep":
     for i in range(20):
@@ -114,7 +114,7 @@ def test_reader_never_sees_torn_entries_while_writer_runs():
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
-            store = CanonicalStore(tmp, mode="rigid")
+            store = CanonicalStore(tmp)
             seen: set[int] = set()
             deadline = time.monotonic() + 120.0
             while len(seen) < 20 and time.monotonic() < deadline:
@@ -162,13 +162,13 @@ def test_kill_mid_write_leaves_store_consistent():
                 proc.communicate()
 
         # a fresh process opening the directory after the crash
-        store = CanonicalStore(shared, mode="rigid")
+        store = CanonicalStore(shared)
         assert len(store) in (0, 1)
         if len(store) == 1:
             _assert_entry_exact(store, 0)
             # bitwise identical to what an uninterrupted writer stores
             clean_dir = Path(tmp) / "clean"
-            clean = CanonicalStore(clean_dir, mode="rigid")
+            clean = CanonicalStore(clean_dir)
             clean.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
             (survivor,) = store._complete()
             (reference,) = clean._complete()
@@ -179,7 +179,7 @@ def test_kill_mid_write_leaves_store_consistent():
 
 
 def test_tmp_debris_is_invisible(tmp_path):
-    store = CanonicalStore(tmp_path, mode="rigid")
+    store = CanonicalStore(tmp_path)
     store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
     key = store.key(_geometry(1), "sto-3g", 5.0e-3)
     (tmp_path / f"canon_{key}.tmp.npz").write_bytes(b"\x00half a write")
@@ -189,7 +189,7 @@ def test_tmp_debris_is_invisible(tmp_path):
 
 
 def test_corrupt_entry_degrades_to_miss(tmp_path):
-    store = CanonicalStore(tmp_path, mode="rigid")
+    store = CanonicalStore(tmp_path)
     path = store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
     path.write_bytes(path.read_bytes()[: 40])     # truncate the zip
     assert store.load(_geometry(0), "sto-3g", 5.0e-3) is None
@@ -200,7 +200,7 @@ def test_frame_mismatch_is_rejected_not_misrotated(tmp_path):
     """An entry whose stored canonical coordinates disagree with the
     target's (a key collision or tampering) must become a miss — the
     silent-wrong-answer guard."""
-    store = CanonicalStore(tmp_path, mode="rigid")
+    store = CanonicalStore(tmp_path)
     path = store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
     with np.load(path) as data:
         payload = {k: data[k].copy() for k in data.files}
@@ -210,39 +210,15 @@ def test_frame_mismatch_is_rejected_not_misrotated(tmp_path):
     tmp.replace(path)
     assert store.load(_geometry(0), "sto-3g", 5.0e-3) is None
     assert store.rejects == 1
-
-
-def test_off_mode_stores_and_loads_nothing(tmp_path):
-    store = CanonicalStore(tmp_path / "store", mode="off")
-    assert store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3) is None
-    assert store.load(_geometry(0), "sto-3g", 5.0e-3) is None
-    assert not (tmp_path / "store").exists()
-
-
-def test_exact_mode_hits_only_bit_equal_geometries(tmp_path):
-    store = CanonicalStore(tmp_path, mode="exact")
-    store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
-    _assert_entry_exact(store, 0)
-    # a rotated copy misses in exact mode
-    rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    g = _geometry(0)
-    rotated = Geometry(list(g.symbols), g.coords @ rot.T)
-    assert store.load(rotated, "sto-3g", 5.0e-3) is None
-    assert store.rotations == 0
-
-
-def test_invalid_mode_rejected(tmp_path):
-    with pytest.raises(ValueError, match="mode"):
-        CanonicalStore(tmp_path, mode="sloppy")
+    assert store.stats()["reject_reasons"] == {"frame": 1}
 
 
 def test_stats_and_keys_accounting(tmp_path):
-    store = CanonicalStore(tmp_path, mode="rigid")
+    store = CanonicalStore(tmp_path)
     store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
     store.load(_geometry(0), "sto-3g", 5.0e-3)
     store.load(_geometry(1), "sto-3g", 5.0e-3)
     stats = store.stats()
-    assert stats["mode"] == "rigid"
     assert stats["hits"] == 1 and stats["misses"] == 1
     assert stats["writes"] == 1
     assert stats["hit_rate"] == 0.5

@@ -151,12 +151,16 @@ def test_displacement_executor_raises_with_label():
 @pytest.fixture(scope="module")
 def serial_pipeline_run():
     w = water_molecule()
-    far = Geometry(list(w.symbols), w.coords + np.array([15.0, 0.0, 0.0]))
+    # a far, slightly stretched copy: not a rigid duplicate, so both
+    # waters reach the executor
+    coords = w.coords + np.array([15.0, 0.0, 0.0])
+    coords[1] += np.array([0.02, 0.0, 0.0])
+    far = Geometry(list(w.symbols), coords)
     waters = [w, far]
     omega = np.linspace(100, 5000, 200)
 
     def run(executor):
-        pipe = QFRamanPipeline(waters=waters, dedupe_rigid=False,
+        pipe = QFRamanPipeline(waters=waters,
                                executor=executor, max_workers=2)
         return pipe.run(omega_cm1=omega, sigma_cm1=30.0, solver="dense")
 

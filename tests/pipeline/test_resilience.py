@@ -11,7 +11,8 @@ with deterministic injected faults (``QF_FAULTS``):
 * exhausted retries → labeled abort (``fail_fast``) or a flagged
   partial spectrum (``skip_and_report``);
 * kill-mid-run (a ``die`` fault taking down the driver process) →
-  resume from the RunStore, bit-identical to an uninterrupted run.
+  resume from the fragment store, bit-identical to an uninterrupted
+  run.
 
 Cheap H2 tasks (~0.15 s each) keep the executor-level tests fast; the
 pipeline-level tests share the two-water session fixture.
@@ -36,9 +37,10 @@ from repro.pipeline import (
     FragmentTask,
     ResiliencePolicy,
     ResilientExecutor,
-    RunStore,
     make_executor,
 )
+from repro.pipeline.cache import task_key
+from repro.pipeline.canonical import CanonicalStore
 from repro.pipeline.executor import SerialExecutor
 from repro.pipeline.faults import (
     DIE_EXIT_CODE,
@@ -242,7 +244,7 @@ def test_exhausted_retries_fail_fast(monkeypatch, tmp_path):
     monkeypatch.setenv("QF_FAULTS", "crash:b@*")
     policy = ResiliencePolicy(max_attempts=2, backoff_s=0.0,
                               failure_policy=FAIL_FAST)
-    store = RunStore(tmp_path / "store")
+    store = CanonicalStore(tmp_path / "store")
     with ResilientExecutor(base="serial", policy=policy, store=store) as ex:
         with pytest.raises(FragmentExecutorError, match="injected crash"):
             ex.run(_tasks())
@@ -308,32 +310,40 @@ def test_run_store_resume_bit_identical(reference, tmp_path):
     store_dir = tmp_path / "store"
     policy = ResiliencePolicy(max_attempts=1)
     with ResilientExecutor(base="serial", policy=policy,
-                           store=store_dir) as ex:
+                           store=CanonicalStore(store_dir)) as ex:
         first, report1 = ex.run(_tasks())
     assert report1.resilience["store_writes"] == 2
-    assert len(RunStore(store_dir)) == 2
+    assert len(CanonicalStore(store_dir)) == 2
 
-    # a "new run" — fresh executor, same store: nothing recomputed
-    with ResilientExecutor(base="serial", policy=policy,
-                           store=store_dir) as ex:
-        second, report2 = ex.run(_tasks())
-    res = report2.resilience
-    assert res["store_hits"] == 2
-    assert res["store_writes"] == 0
+    # a "new run" opens the same store: every checkpoint is an exact
+    # hit, served bit for bit without recomputing or rotating
+    store = CanonicalStore(store_dir)
+    second = {t.index: store.load_task(t) for t in _tasks()}
+    assert store.hits == 2 and store.rotations == 0
     _assert_bitwise(second, reference)
     for k in first:
         assert np.array_equal(first[k].hessian, second[k].hessian)
 
+    # rerunning the executor over the same store rewrites nothing
+    with ResilientExecutor(base="serial", policy=policy,
+                           store=store) as ex:
+        _again, report2 = ex.run(_tasks())
+    assert report2.resilience["store_writes"] == 0
 
-def test_run_store_key_ignores_index_and_attempt(tmp_path):
-    store = RunStore(tmp_path)
+
+def test_run_store_key_ignores_index_and_attempt():
+    def key(t):
+        return task_key(t.geometry, t.basis_name, t.delta,
+                        compute_raman=t.compute_raman, eri_mode=t.eri_mode,
+                        schwarz_cutoff=t.schwarz_cutoff)
+
     task = _tasks()[0]
-    k = store.key_for(task)
-    assert store.key_for(replace(task, index=7, attempt=3)) == k
-    assert store.key_for(replace(task, label="renamed")) == k
+    k = key(task)
+    assert key(replace(task, index=7, attempt=3)) == k
+    assert key(replace(task, label="renamed")) == k
     # content changes do change the key
-    assert store.key_for(replace(task, delta=1.0e-3)) != k
-    assert store.key_for(replace(task, basis_name="6-31g")) != k
+    assert key(replace(task, delta=1.0e-3)) != k
+    assert key(replace(task, basis_name="6-31g")) != k
 
 
 def test_make_executor_wraps_resilient():
@@ -407,12 +417,12 @@ from repro.pipeline import ResiliencePolicy
 pipe = golden.build_pipeline(
     "waterbox2",
     resilience=ResiliencePolicy(max_attempts=1),
-    run_store=store,
+    canonical_cache=store,
 )
 result = pipe.run(omega_cm1=golden.OMEGA_CM1, sigma_cm1=golden.SIGMA_CM1,
                   solver="dense")
 np.save(out, result.spectrum.intensity)
-print("STORE_HITS", result.throughput.resilience["store_hits"])
+print("STORE_HITS", result.canonical["hits"])
 """
 
 
@@ -420,7 +430,7 @@ def test_kill_mid_run_then_resume_bit_identical(
         golden, waterbox2_result, tmp_path):
     """The acceptance scenario: a run killed partway (die fault takes
     down the serial driver with exit code 23) leaves its finished
-    fragments in the RunStore; rerunning with the same store resumes,
+    fragments in the store; rerunning with the same store resumes,
     recomputes only the unfinished work, and reproduces the
     uninterrupted run's spectrum bit for bit."""
     driver = tmp_path / "driver.py"
@@ -439,7 +449,7 @@ def test_kill_mid_run_then_resume_bit_identical(
     first = subprocess.run(argv, env=env, cwd=REPO_ROOT,
                            capture_output=True, text=True, timeout=600)
     assert first.returncode == DIE_EXIT_CODE, first.stderr
-    finished = list(store.glob("frag_*.npz"))
+    finished = list(store.glob("canon_*.npz"))
     assert finished, "no checkpoint survived the kill"
     assert not out.exists()
 

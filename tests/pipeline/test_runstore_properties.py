@@ -1,4 +1,4 @@
-"""Property-based tests for the RunStore and its content-hash keys.
+"""Property-based tests for the store as a run checkpoint, and its keys.
 
 Two invariants carry the checkpoint/resume guarantee:
 
@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
 from repro.pipeline.cache import task_key
+from repro.pipeline.canonical import CanonicalStore
 from repro.pipeline.executor import FragmentTask
-from repro.pipeline.resilience import RunStore
 
 # -- strategies -----------------------------------------------------------
 
@@ -38,9 +38,16 @@ def _geometry(coords) -> Geometry:
     return Geometry(["H"] * len(coords), np.array(coords, dtype=float))
 
 
-def _task(idx: int, coords) -> FragmentTask:
+def _task(idx: int, coords, delta: float = 5.0e-3) -> FragmentTask:
     return FragmentTask(index=idx, label=f"frag[{idx}]",
-                        geometry=_geometry(coords))
+                        geometry=_geometry(coords), delta=delta)
+
+
+def _key(task: FragmentTask) -> str:
+    return task_key(task.geometry, task.basis_name, task.delta,
+                    compute_raman=task.compute_raman,
+                    eri_mode=task.eri_mode,
+                    schwarz_cutoff=task.schwarz_cutoff)
 
 
 def _response(task: FragmentTask, seed: int) -> FragmentResponse:
@@ -84,29 +91,30 @@ _ops = st.lists(
 def test_write_crash_reload_round_trips_exactly(ops, coords):
     """Whatever the interleaving, a (re)loaded store returns exactly
     the responses that were fully written — crash debris (partial temp
-    files) is never visible."""
-    tasks = {i: _task(i, [(c[0] + i, c[1], c[2]) for c in coords])
-             for i in range(4)}
+    files) is never visible. The four tasks differ in their step size,
+    so each is its own entry whatever the geometry's symmetry."""
+    tasks = {i: _task(i, coords, delta=1.0e-3 * (i + 1)) for i in range(4)}
     with tempfile.TemporaryDirectory() as tmp:
-        store = RunStore(tmp)
+        store = CanonicalStore(tmp)
         model: dict[int, FragmentResponse] = {}
         for op in ops:
             if op[0] == "write":
                 i = op[1]
                 resp = _response(tasks[i], seed=i)
-                store.store(tasks[i], resp)
-                model[i] = resp
+                store.store_task(tasks[i], resp)
+                model.setdefault(i, resp)
             elif op[0] == "crash":
                 # a killed writer leaves a partial temp file behind —
                 # same prefix the atomic writer uses before rename
                 i = op[1]
-                key = store.key_for(tasks[i])
-                stray = Path(tmp) / f"frag_{key}.tmp.npz"
+                t = tasks[i]
+                key = store.key(t.geometry, t.basis_name, t.delta)
+                stray = Path(tmp) / f"canon_{key}.tmp.npz"
                 stray.write_bytes(b"\x00truncated checkpoint")
             else:
-                store = RunStore(tmp)   # a fresh process opening the dir
+                store = CanonicalStore(tmp)   # a fresh process
             for i, task in tasks.items():
-                loaded = store.load(task)
+                loaded = store.load_task(task)
                 if i in model:
                     assert loaded is not None
                     _assert_identical(loaded, model[i])
@@ -117,15 +125,18 @@ def test_write_crash_reload_round_trips_exactly(ops, coords):
 
 @settings(max_examples=40, deadline=None)
 @given(coords=coords3, seed=st.integers(0, 2**31))
-def test_store_overwrite_keeps_latest(coords, seed):
+def test_store_keeps_first_write(coords, seed):
+    """Storing is idempotent: a second write for the same task neither
+    replaces the checkpoint nor counts, so a rerun cannot perturb what
+    an earlier run resumes from."""
     task = _task(0, coords)
     with tempfile.TemporaryDirectory() as tmp:
-        store = RunStore(tmp)
-        store.store(task, _response(task, seed))
-        newer = _response(task, seed + 1)
-        store.store(task, newer)
-        assert len(store) == 1
-        _assert_identical(RunStore(tmp).load(task), newer)
+        store = CanonicalStore(tmp)
+        first = _response(task, seed)
+        assert store.store_task(task, first) is not None
+        assert store.store_task(task, _response(task, seed + 1)) is None
+        assert len(store) == 1 and store.writes == 1
+        _assert_identical(CanonicalStore(tmp).load_task(task), first)
 
 
 # -- key invariance -------------------------------------------------------
@@ -139,19 +150,17 @@ def test_task_key_ignores_bookkeeping(coords, perm_seed, index, attempt):
     counter, and the label."""
     tasks = [_task(i, [(c[0] + i, c[1], c[2]) for c in coords])
              for i in range(3)]
-    with tempfile.TemporaryDirectory() as tmp:
-        store = RunStore(tmp)
-        baseline = [store.key_for(t) for t in tasks]
-        rng = np.random.default_rng(perm_seed)
-        order = rng.permutation(len(tasks))
-        shuffled = {int(i): store.key_for(tasks[int(i)]) for i in order}
-        assert all(shuffled[i] == baseline[i] for i in range(len(tasks)))
-        t = tasks[0]
-        assert store.key_for(
-            replace(t, index=index, attempt=attempt, label="other")
-        ) == baseline[0]
-        # distinct geometries get distinct keys
-        assert len(set(baseline)) == len(baseline)
+    baseline = [_key(t) for t in tasks]
+    rng = np.random.default_rng(perm_seed)
+    order = rng.permutation(len(tasks))
+    shuffled = {int(i): _key(tasks[int(i)]) for i in order}
+    assert all(shuffled[i] == baseline[i] for i in range(len(tasks)))
+    t = tasks[0]
+    assert _key(
+        replace(t, index=index, attempt=attempt, label="other")
+    ) == baseline[0]
+    # distinct geometries get distinct keys
+    assert len(set(baseline)) == len(baseline)
 
 
 @given(extra_items=st.lists(
