@@ -1,9 +1,13 @@
 """The persistent fragment-response store, keyed by rigid-motion class.
 
 A 100M-atom water box is millions of *nearly identical* fragments: the
-same water geometry repeated under rotations and translations. This
-module stores one response per rigid class and serves it to every
-copy, in this run and in every later one.
+same water geometry repeated under rotations and translations, and a
+production QF run is hours of independent piece calculations whose
+finished work must survive a lost process (the paper's master
+re-queues unfinished fragments — finished ones live in its result
+store). This module is that result store: it keeps one response per
+rigid class and serves it to every copy, in this run and in every
+later one.
 
 Canonicalization
 ----------------
@@ -47,7 +51,7 @@ Store
 (atomic tmp+rename writes, safe for concurrent writers; stray
 ``*.tmp.npz`` debris is ignored). An entry holds the response in the
 **lab frame** of the geometry it was computed for, that geometry's
-coordinates, its exact :func:`~repro.pipeline.cache.task_key`, and its
+coordinates, its exact :func:`task_key`, and its
 canonical frame (rotation, atom permutation, canonical coordinates).
 Storing is idempotent: a class that already has an entry keeps it.
 
@@ -73,6 +77,7 @@ store written in an older format is never opened. See
 from __future__ import annotations
 
 import hashlib
+import json
 import zipfile
 from collections import Counter
 from pathlib import Path
@@ -82,13 +87,6 @@ import numpy as np
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
 from repro.obs.counters import counters
-from repro.pipeline.cache import (
-    config_encoding,
-    response_from_npz,
-    response_payload,
-    task_key,
-    write_npz_atomic,
-)
 from repro.pipeline.rigid import rotate_response
 
 __all__ = [
@@ -99,7 +97,9 @@ __all__ = [
     "VALIDATE_RMSD_BOHR",
     "canonical_key",
     "canonicalize",
+    "config_encoding",
     "permute_response",
+    "task_key",
 ]
 
 #: version tag hashed into every key; bumped with the entry layout
@@ -117,6 +117,43 @@ _AXIS_TOL = 1.0e-6
 #: match the target's within this RMSD (bohr); ties between
 #: symmetry-equivalent frames differ by at most the quantization grid
 VALIDATE_RMSD_BOHR = 1.0e-4
+
+
+# -- exact content keys ----------------------------------------------------
+
+
+def config_encoding(basis_name: str, delta: float, *,
+                    compute_raman: bool = True, eri_mode: str = "auto",
+                    schwarz_cutoff: float = 1.0e-12) -> bytes:
+    """Canonical bytes of every run setting that can change the numbers
+    (sorted-key JSON); shared by :func:`task_key` and
+    :func:`canonical_key`."""
+    config = {
+        "basis": basis_name,
+        "delta": f"{delta:.3e}",
+        "raman": bool(compute_raman),
+        "eri": eri_mode,
+        "schwarz": f"{schwarz_cutoff:.3e}",
+    }
+    return json.dumps(config, sort_keys=True).encode()
+
+
+def task_key(geometry: Geometry, basis_name: str, delta: float,
+             **config) -> str:
+    """Content hash of one fragment task: geometry + full run config.
+
+    Coordinates enter rounded to 1e-9 bohr, plus every knob that can
+    change the numerical result (:func:`config_encoding`), so an entry
+    with an equal key is bit-compatible with a fresh computation.
+    Nothing positional (task index, attempt number, submission order)
+    enters the hash, so it is invariant to fragment ordering too.
+    """
+    h = hashlib.sha256()
+    h.update(",".join(geometry.symbols).encode())
+    h.update(np.round(geometry.coords, 9).tobytes())
+    h.update(f"|{geometry.charge}".encode())
+    h.update(config_encoding(basis_name, delta, **config))
+    return h.hexdigest()[:24]
 
 
 # -- canonical frame construction ------------------------------------------
@@ -267,8 +304,8 @@ def canonical_key(geometry: Geometry, basis_name: str, delta: float, *,
                   decimals: int = CANON_DECIMALS, **config) -> str:
     """Content hash of (canonical geometry class, full run config).
 
-    The rigid-motion analogue of :func:`repro.pipeline.cache.task_key`,
-    with the same config encoding: two fragments share a key iff they
+    The rigid-motion analogue of :func:`task_key`, with the same config
+    encoding: two fragments share a key iff they
     are the same geometry up to a proper rigid motion (within the
     quantization grid) *and* every config knob that can change the
     numbers matches.
@@ -361,7 +398,14 @@ class CanonicalStore:
         frame, path = self._locate(geometry, basis_name, delta, config)
         if path.exists():
             return None
-        payload = response_payload(response)
+        payload = {
+            "energy": np.array(response.energy),
+            "hessian": response.hessian,
+            "gradient": response.gradient,
+        }
+        for name in ("dalpha_dr", "alpha"):
+            if getattr(response, name) is not None:
+                payload[name] = getattr(response, name)
         payload.update(
             lab_coords=np.asarray(geometry.coords, dtype=float),
             task_key=np.array(task_key(geometry, basis_name, delta,
@@ -374,7 +418,13 @@ class CanonicalStore:
         )
         self.writes += 1
         counters().inc("cache.canonical_writes")
-        return write_npz_atomic(path, payload)
+        # the rename is atomic on POSIX: a reader (or a resumed run)
+        # sees the complete entry or none; a crash mid-write leaves
+        # only a ``*.tmp.npz`` stray, which every lookup ignores
+        tmp = path.with_suffix(".tmp.npz")
+        np.savez_compressed(tmp, **payload)
+        tmp.replace(path)
+        return path
 
     def load(self, geometry: Geometry, basis_name: str, delta: float,
              **config) -> FragmentResponse | None:
@@ -409,7 +459,15 @@ class CanonicalStore:
             # key collision or a quantization-edge geometry must become
             # a recompute, never a mis-rotated tensor
             return self._reject("frame")
-        stored = response_from_npz(data, geometry)
+        stored = FragmentResponse(
+            geometry=geometry,
+            energy=float(data["energy"]),
+            hessian=data["hessian"],
+            dalpha_dr=data.get("dalpha_dr"),
+            alpha=data.get("alpha"),
+            gradient=data["gradient"],
+            meta={"cached": True},
+        )
         if str(data["task_key"]) == target_key:
             self.hits += 1
             counters().inc("cache.canonical_hits")

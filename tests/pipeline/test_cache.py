@@ -2,12 +2,10 @@
 miss-then-hit on a real fragment, and reuse across pipeline runs."""
 
 import numpy as np
-import pytest
 
 from repro.dfpt import fragment_response
 from repro.geometry import water_molecule
-from repro.pipeline.cache import task_key
-from repro.pipeline.canonical import CanonicalStore
+from repro.pipeline.canonical import CanonicalStore, task_key
 
 
 def test_key_deterministic_and_sensitive():
@@ -51,19 +49,3 @@ def test_pipeline_uses_cache(tmp_path):
     assert r2.canonical["hits"] == 1 and r2.canonical["rotations"] == 0
     assert np.array_equal(r1.spectrum.intensity, r2.spectrum.intensity)
 
-
-@pytest.mark.parametrize("changed", [
-    {"compute_raman": False}, {"eri_mode": "df"}, {"schwarz_cutoff": 0.0},
-])
-def test_config_change_misses(tmp_path, changed):
-    """An entry is only served under the settings it was computed with."""
-    from repro.dfpt.hessian import FragmentResponse
-
-    w = water_molecule()
-    resp = FragmentResponse(geometry=w, energy=-1.0, hessian=np.eye(9),
-                            dalpha_dr=None, alpha=None,
-                            gradient=np.zeros((3, 3)))
-    cache = CanonicalStore(tmp_path)
-    cache.store(w, resp, "sto-3g", 5e-3)
-    assert cache.load(w, "sto-3g", 5e-3, **changed) is None
-    assert cache.load(w, "sto-3g", 5e-3) is not None

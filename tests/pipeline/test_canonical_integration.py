@@ -81,20 +81,6 @@ def test_run_store_canonical_fallback_and_exact_first(tmp_path):
     np.testing.assert_array_equal(exact.gradient, resp.gradient)
 
 
-def test_store_keeps_the_first_entry_of_a_class(tmp_path):
-    """Storing is idempotent per rigid class: a rotated copy's response
-    neither rewrites the entry nor counts as a write."""
-    store = CanonicalStore(tmp_path)
-    g = _water()
-    assert store.store(g, _response(g), "sto-3g", 5.0e-3) is not None
-    copy = _rotated(g)
-    assert store.store(copy, _response(copy, seed=1), "sto-3g",
-                       5.0e-3) is None
-    assert len(store) == 1 and store.writes == 1
-    np.testing.assert_array_equal(
-        store.load(g, "sto-3g", 5.0e-3).hessian, _response(g).hessian)
-
-
 def test_run_store_off_by_default(tmp_path, monkeypatch):
     """Without ``canonical_cache`` a pipeline has no store: nothing is
     looked up or written, and only in-run reuse is reported."""

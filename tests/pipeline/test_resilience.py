@@ -39,8 +39,7 @@ from repro.pipeline import (
     ResilientExecutor,
     make_executor,
 )
-from repro.pipeline.cache import task_key
-from repro.pipeline.canonical import CanonicalStore
+from repro.pipeline.canonical import CanonicalStore, task_key
 from repro.pipeline.executor import SerialExecutor
 from repro.pipeline.faults import (
     DIE_EXIT_CODE,
