@@ -51,8 +51,8 @@ Store
 (atomic tmp+rename writes, safe for concurrent writers; stray
 ``*.tmp.npz`` debris is ignored). An entry holds the response in the
 **lab frame** of the geometry it was computed for, that geometry's
-coordinates, its exact :func:`task_key`, and its
-canonical frame (rotation, atom permutation, canonical coordinates).
+coordinates, its exact :func:`task_key`, and its canonical frame
+(rotation, atom permutation, canonical coordinates).
 Storing is idempotent: a class that already has an entry keeps it.
 
 A lookup first *validates* the entry: the stored canonical coordinates
