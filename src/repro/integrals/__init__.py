@@ -1,13 +1,16 @@
 """Molecular integrals over contracted cartesian Gaussians.
 
-Two implementations of the McMurchie–Davidson scheme:
+The McMurchie–Davidson scheme, vectorized:
 
-* :mod:`repro.integrals.mcmurchie` — scalar reference, memoized
-  recursions, any angular momentum. Only the tests import it, as the
-  independent oracle for the engine.
-* :mod:`repro.integrals.engine` — vectorized engine used by the SCF and
-  DFPT code: one-electron matrices, Schwarz-screened ERI tensor, dipole
+* :mod:`repro.integrals.engine` — the engine used by the SCF and DFPT
+  code: one-electron matrices, Schwarz-screened ERI tensor, dipole
   integrals, and first-derivative integrals for analytic gradients.
+* :mod:`repro.integrals.batched` — the class-grouped pair-block build
+  and the flat-index scatters it uses.
+
+The scalar reference (memoized recursions, any angular momentum) lives
+in ``tests/integrals/mcmurchie.py``, as the independent oracle for the
+engine.
 
 Schwarz screening uses the Cauchy–Schwarz bound
 ``|(ab|cd)| <= sqrt((ab|ab)) * sqrt((cd|cd))`` to skip shell-pair-block

@@ -17,7 +17,7 @@ number of classes, not the number of integrals. This is the same
 same-shape GEMMs (§V-C), applied at the integral level.
 
 Validation: every public method is tested against the scalar reference
-in :mod:`repro.integrals.mcmurchie` and against finite differences, and
+in ``tests/integrals/mcmurchie.py`` and against finite differences, and
 the pair-block build and scatters against the loop oracle in
 ``tests/integrals/oracle.py``, which also keeps the ordered-bra
 ``eri_deriv`` build as the value oracle of the unordered-block one.
@@ -138,60 +138,55 @@ def e_coeffs_1d(la: int, lb: int, a: np.ndarray, b: np.ndarray,
     return e
 
 
-def hermite_combos(lmax_total: int, tmax: int, umax: int, vmax: int
-                   ) -> list[tuple[int, int, int]]:
-    """Valid Hermite index triples (t, u, v) with per-dim and total bounds."""
-    out = []
-    for t in range(tmax + 1):
-        for u in range(umax + 1):
-            for v in range(vmax + 1):
-                if t + u + v <= lmax_total:
-                    out.append((t, u, v))
-    return out
+def hermite_combos(lmax: int) -> list[tuple[int, int, int]]:
+    """Hermite index triples (t, u, v) with ``t + u + v <= lmax``,
+    lexicographic in (t, u, v)."""
+    return [(t, u, v) for t in range(lmax + 1) for u in range(lmax + 1 - t)
+            for v in range(lmax + 1 - t - u)]
 
 
-def hermite_coulomb_vec(tmax: int, umax: int, vmax: int,
-                        p: np.ndarray, pq: np.ndarray) -> np.ndarray:
+def hermite_coulomb_vec(lmax: int, p: np.ndarray, pq: np.ndarray
+                        ) -> np.ndarray:
     """Hermite Coulomb tensor R_{tuv} over an array of charge pairs.
 
     Parameters
     ----------
-    tmax, umax, vmax:
-        Per-dimension maxima; only entries with ``t+u+v <= tmax+?``
-        bounded by ``L = max total`` are populated (others stay zero).
+    lmax:
+        Total Hermite order. Entries with ``t+u+v <= lmax`` are
+        evaluated from Boys orders ``0..lmax``; every entry above
+        ``lmax`` is exactly zero, so callers must read only
+        ``t+u+v <= lmax``.
     p:
         Combined exponents, shape (n,).
     pq:
         Center separations P-Q, shape (n, 3).
 
-    Returns shape ``(n, tmax+1, umax+1, vmax+1)``.
+    Returns shape ``(n, lmax+1, lmax+1, lmax+1)``.
     """
     p = np.asarray(p, dtype=float).ravel()
     pq = np.asarray(pq, dtype=float).reshape(-1, 3)
     n = p.size
-    L = tmax + umax + vmax
     t_arg = p * np.einsum("ij,ij->i", pq, pq)
-    f = boys_vec(L, t_arg)  # (n, L+1)
+    f = boys_vec(lmax, t_arg)  # (n, lmax+1)
     # R^m_{000} = (-2p)^m F_m
     m2p = -2.0 * p
-    levels: dict[tuple[int, int, int], np.ndarray] = {}
-    # store R^m for each (t,u,v) as we build up total order; keep the m
-    # dimension explicitly: rm[(t,u,v)] has shape (n, L - (t+u+v) + 1)
+    # R^m for each (t,u,v) as we build up total order, with the m
+    # dimension kept: rm[(t,u,v)] has shape (n, lmax - (t+u+v) + 1)
     rm: dict[tuple[int, int, int], np.ndarray] = {}
-    base = np.empty((n, L + 1))
+    base = np.empty((n, lmax + 1))
     acc = np.ones(n)
-    for m in range(L + 1):
+    for m in range(lmax + 1):
         base[:, m] = acc * f[:, m]
         acc = acc * m2p
     rm[(0, 0, 0)] = base
+    out = np.zeros((n, lmax + 1, lmax + 1, lmax + 1))
+    out[:, 0, 0, 0] = base[:, 0]
     x, y, z = pq[:, 0], pq[:, 1], pq[:, 2]
-    for total in range(1, L + 1):
-        for t in range(min(total, tmax) + 1):
-            for u in range(min(total - t, umax) + 1):
+    for total in range(1, lmax + 1):
+        nm = lmax - total + 1
+        for t in range(total + 1):
+            for u in range(total - t + 1):
                 v = total - t - u
-                if v < 0 or v > vmax:
-                    continue
-                nm = L - total + 1
                 if t > 0:
                     prev = rm[(t - 1, u, v)]
                     val = x[:, None] * prev[:, 1: nm + 1]
@@ -208,10 +203,7 @@ def hermite_coulomb_vec(tmax: int, umax: int, vmax: int,
                     if v > 1:
                         val = val + (v - 1) * rm[(t, u, v - 2)][:, 1: nm + 1]
                 rm[(t, u, v)] = val
-    out = np.zeros((n, tmax + 1, umax + 1, vmax + 1))
-    for (t, u, v), arr in rm.items():
-        if t <= tmax and u <= umax and v <= vmax:
-            out[:, t, u, v] = arr[:, 0]
+                out[:, t, u, v] = val[:, 0]
     return out
 
 
@@ -320,20 +312,22 @@ def _e3_components(
 def _combined_index(
     combos_b: list[tuple[int, int, int]],
     combos_k: list[tuple[int, int, int]],
-    ltot: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather tables of the summed Hermite index (t+t', u+u', v+v') for
-    every (bra combo, ket combo) pair. Combined orders above ``ltot``
-    index zero-filled slots of the R tensor, so no masking is needed.
+    every (bra combo, ket combo) pair. With the bra combos bounded by
+    ``lbra`` and the ket combos by ``lket``, every summed index has
+    total order at most ``lbra + lket``: the order the R tensor must be
+    built to, since :func:`hermite_coulomb_vec` leaves higher entries
+    zero.
     """
     ti = np.empty((len(combos_b), len(combos_k)), dtype=int)
     ui = np.empty_like(ti)
     vi = np.empty_like(ti)
     for i, (t, u, v) in enumerate(combos_b):
         for j, (tt, uu, vv) in enumerate(combos_k):
-            ti[i, j] = min(t + tt, ltot)
-            ui[i, j] = min(u + uu, ltot)
-            vi[i, j] = min(v + vv, ltot)
+            ti[i, j] = t + tt
+            ui[i, j] = u + uu
+            vi[i, j] = v + vv
     return ti, ui, vi
 
 
@@ -405,7 +399,7 @@ class IntegralEngine:
         """
         la, lb = blk.la, blk.lb
         l_half = la + lb
-        combos = hermite_combos(l_half, l_half, l_half, l_half)
+        combos = hermite_combos(l_half)
         nk = len(combos)
         e3b = _e3_components(blk.e_tensors(), la, lb, combos, weights=blk.cc)
         e3k = _e3_components(
@@ -418,7 +412,7 @@ class IntegralEngine:
         p = blk.p.reshape(npair, k2)
         pc = blk.pc.reshape(npair, k2, 3)
         ltot = 2 * l_half
-        ti, ui, vi = _combined_index(combos, combos, ltot)
+        ti, ui, vi = _combined_index(combos, combos)
         out = np.empty(npair)
         chunk = max(1, element_budget // max(1, k2 * k2 * nk))
         for start in range(0, npair, chunk):  # qf: shell-loop — chunked over the element budget; body vectorized
@@ -431,7 +425,7 @@ class IntegralEngine:
             pref = 2.0 * math.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk))
             pq = pcs[:, :, None, :] - pcs[:, None, :, :]
             r = hermite_coulomb_vec(
-                ltot, ltot, ltot, alpha.ravel(), pq.reshape(-1, 3)
+                ltot, alpha.ravel(), pq.reshape(-1, 3)
             ).reshape(stop - start, k2, k2, ltot + 1, ltot + 1, ltot + 1)
             rsel = r[:, :, :, ti, ui, vi]            # (n, k2, k2, nk, nk)
             rsel *= pref[..., None, None]
@@ -525,14 +519,14 @@ class IntegralEngine:
     def _nuclear_block(self, blk: PairBlock, ex: list[np.ndarray],
                        per_atom: bool):
         l_tot = blk.la + blk.lb
-        combos = hermite_combos(l_tot, l_tot, l_tot, l_tot)
+        combos = hermite_combos(l_tot)
         e3 = _e3_components(ex, blk.la, blk.lb, combos, weights=blk.cc)
         # R over prim x nucleus
         natm = self.charges.size
         nprim = blk.nprim
         pc = blk.pc[:, None, :] - self.coords[None, :, :]
         p_rep = np.repeat(blk.p, natm)
-        r = hermite_coulomb_vec(l_tot, l_tot, l_tot, p_rep, pc.reshape(-1, 3))
+        r = hermite_coulomb_vec(l_tot, p_rep, pc.reshape(-1, 3))
         r = r.reshape(nprim, natm, *r.shape[1:])
         rsel = np.stack([r[:, :, t, u, v] for (t, u, v) in combos], axis=-1)
         # prim-level value per nucleus: -(2 pi / p) * z_C * sum_k e3 * R
@@ -645,7 +639,7 @@ class IntegralEngine:
                 return out
         la, lb = bra.la, bra.lb
         lbra = la + lb
-        combos_b = hermite_combos(lbra, lbra, lbra, lbra)
+        combos_b = hermite_combos(lbra)
         e3b = _e3_components(bra.e_tensors(), la, lb, combos_b, weights=bra.cc)
         out = self._coulomb_core(bra, ket, e3b[None, :, :, :], combos_b, lbra)[0]
         return out.reshape(bra.npair, na, nb_, ket.npair, nc, nd)
@@ -658,7 +652,7 @@ class IntegralEngine:
         """
         la, lb = bra.la, bra.lb
         lbra = la + lb + 1
-        combos_b = hermite_combos(lbra, lbra, lbra, lbra)
+        combos_b = hermite_combos(lbra)
         exb = bra.e_tensors(da=1)
         e3d = _e3_deriv_components(exb, bra.a, la, lb, combos_b, weights=bra.cc)
         out = self._coulomb_core(bra, ket, e3d, combos_b, lbra)
@@ -694,7 +688,7 @@ class IntegralEngine:
         returns both.
         """
         lket = ket.la + ket.lb
-        combos_k = hermite_combos(lket, lket, lket, lket)
+        combos_k = hermite_combos(lket)
         e3k = _e3_components(
             ket.e_tensors(), ket.la, ket.lb, combos_k, sign=True, weights=ket.cc
         )
@@ -702,18 +696,18 @@ class IntegralEngine:
         nab = e3b.shape[2]
         ncd = e3k.shape[1]
         ltot = lbra + lket
-        ti, ui, vi = _combined_index(combos_b, combos_k, ltot)
+        ti, ui, vi = _combined_index(combos_b, combos_k)
         out = np.zeros((nvar, bra.npair, nab, ket.npair, ncd))
         if ket_stack is not None:
             lb0 = bra.la + bra.lb
-            combos_b0 = hermite_combos(lb0, lb0, lb0, lb0)
-            combos_kd = hermite_combos(lket + 1, lket + 1, lket + 1, lket + 1)
+            combos_b0 = hermite_combos(lb0)
+            combos_kd = hermite_combos(lket + 1)
             e3b0 = _e3_components(
                 bra.e_tensors(), bra.la, bra.lb, combos_b0, weights=bra.cc
             )
             parity = np.array([(-1.0) ** sum(c) for c in combos_kd])
             e3kd = ket_stack * parity
-            tk, uk, vk = _combined_index(combos_b0, combos_kd, ltot)
+            tk, uk, vk = _combined_index(combos_b0, combos_kd)
             nvk = e3kd.shape[0]
             out_k = np.zeros((nvk, bra.npair, nab, ket.npair, ncd))
         bchunk = max(1, element_budget // max(1, ket.nprim))
@@ -731,7 +725,7 @@ class IntegralEngine:
             )
             pq = bra.pc[bs][:, None, :] - ket.pc[None, :, :]
             r = hermite_coulomb_vec(
-                ltot, ltot, ltot, alpha.ravel(), pq.reshape(-1, 3)
+                ltot, alpha.ravel(), pq.reshape(-1, 3)
             ).reshape(nbp, ket.nprim, ltot + 1, ltot + 1, ltot + 1)
             rsel = r[:, :, ti, ui, vi]  # (nbp, nkp, ncb, nck)
             rsel *= pref[:, :, None, None]
@@ -973,7 +967,7 @@ def _e3_deriv_ab_stack(blk: PairBlock
     weights applied.
     """
     l1 = blk.la + blk.lb + 1
-    combos = hermite_combos(l1, l1, l1, l1)
+    combos = hermite_combos(l1)
     ex = blk.e_tensors(da=1, db=1)
     e3a = _e3_deriv_components(ex, blk.a, blk.la, blk.lb, combos,
                                weights=blk.cc)
@@ -1092,7 +1086,7 @@ class _DerivMixin:
         for blk in self._ordered():
             la, lb = blk.la, blk.lb
             l_tot = la + lb + 1
-            combos = hermite_combos(l_tot, l_tot, l_tot, l_tot)
+            combos = hermite_combos(l_tot)
             ex = blk.e_tensors(da=1)
             e3d = _e3_deriv_components(ex, blk.a, la, lb, combos, weights=blk.cc)
             combos0 = [c for c in combos if sum(c) <= la + lb]
@@ -1104,7 +1098,7 @@ class _DerivMixin:
             p_rep = np.repeat(blk.p, natm)
             # one extra index for both the bra-derivative (l_tot) and the
             # operator derivative (raised index on the plain combos)
-            r = hermite_coulomb_vec(l_tot, l_tot, l_tot, p_rep, pc.reshape(-1, 3))
+            r = hermite_coulomb_vec(l_tot, p_rep, pc.reshape(-1, 3))
             r = r.reshape(nprim, natm, l_tot + 1, l_tot + 1, l_tot + 1)
             pref = 2.0 * math.pi / blk.p
             na = len(components(la))
@@ -1139,17 +1133,23 @@ class _DerivMixin:
                     scatter_ordered(dv_nuc[d, c], blk, vals)
         return dv_bra, dv_nuc
 
-    def _coulomb_block_deriv_ab(self, bra: PairBlock, ket: PairBlock
-                                ) -> np.ndarray:
+    def _coulomb_block_deriv_ab(
+        self,
+        bra: PairBlock,
+        ket: PairBlock,
+        stack: tuple[np.ndarray, list[tuple[int, int, int]]],
+    ) -> np.ndarray:
         """Both bra-slot derivatives in one pass (shared R tensor).
 
-        Returns (6, npb, na, nb, npk, nc, nd): slabs 0-2 are d/dA{x,y,z},
-        slabs 3-5 are d/dB{x,y,z}. Roughly half the cost of two separate
+        ``stack`` is ``_e3_deriv_ab_stack(bra)``, which the caller builds
+        once per bra block and reuses across kets. Returns
+        (6, npb, na, nb, npk, nc, nd): slabs 0-2 are d/dA{x,y,z}, slabs
+        3-5 are d/dB{x,y,z}. Roughly half the cost of two separate
         ordered-pair derivative builds because the Hermite Coulomb tensor —
         the dominant term — is computed once.
         """
-        stack, combos_b = _e3_deriv_ab_stack(bra)
-        out = self._coulomb_core(bra, ket, stack, combos_b, bra.la + bra.lb + 1)
+        e3, combos_b = stack
+        out = self._coulomb_core(bra, ket, e3, combos_b, bra.la + bra.lb + 1)
         na, nb_ = len(components(bra.la)), len(components(bra.lb))
         nc, nd = len(components(ket.la)), len(components(ket.lb))
         return out.reshape(6, bra.npair, na, nb_, ket.npair, nc, nd)
@@ -1167,8 +1167,9 @@ class _DerivMixin:
         """
         out = np.zeros((3, self.nbf, self.nbf, naux))
         for bra in self.blocks:
+            stack = _e3_deriv_ab_stack(bra)
             for ket in aux_blocks:
-                vals = self._coulomb_block_deriv_ab(bra, ket)
+                vals = self._coulomb_block_deriv_ab(bra, ket, stack)
                 for d in range(3):
                     scatter_pairs_aux(out[d], bra, ket,
                                       vals[d, :, :, :, :, :, 0],

@@ -5,8 +5,10 @@ products (E coefficients), the Boys function, the Hermite Coulomb
 repulsion tensor (R), and from those the standard one- and two-electron
 integrals over *primitive* and *contracted* functions.
 
-This module favors clarity over speed; the vectorized engine in
-:mod:`repro.integrals.engine` is validated against it.
+This module favors clarity over speed. It lives with the tests, next
+to the loop oracle in ``oracle.py``, because nothing in the package
+uses it: the vectorized engine in :mod:`repro.integrals.engine` is
+validated against it.
 
 References: McMurchie & Davidson, J. Comput. Phys. 26, 218 (1978);
 Helgaker, Jørgensen, Olsen, "Molecular Electronic-Structure Theory".

@@ -6,7 +6,7 @@ import pytest
 from repro.basis import build_basis
 from repro.geometry import water_molecule
 from repro.geometry.atoms import Geometry
-from repro.integrals import mcmurchie as mm
+from tests.integrals import mcmurchie as mm
 from repro.integrals.engine import (
     IntegralEngine,
     boys_vec,
@@ -70,18 +70,26 @@ def test_e_coeffs_zero_exponent_partner():
 
 
 def test_hermite_coulomb_matches_scalar():
+    """For each total order ``lmax``, every entry with t+u+v <= lmax
+    matches the scalar recursion and every entry above it is exactly
+    zero."""
     rng = np.random.default_rng(3)
     p = rng.uniform(0.3, 4.0, size=5)
     pq = rng.uniform(-1.5, 1.5, size=(5, 3))
-    r = hermite_coulomb_vec(2, 2, 2, p, pq)
-    for n in range(5):
-        for t in range(3):
-            for u in range(3):
-                for v in range(3):
-                    if t + u + v > 6:
-                        continue
-                    ref = mm.hermite_r(t, u, v, p[n], pq[n])
-                    assert r[n, t, u, v] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+    for lmax in range(7):
+        r = hermite_coulomb_vec(lmax, p, pq)
+        assert r.shape == (5, lmax + 1, lmax + 1, lmax + 1)
+        t, u, v = np.indices((lmax + 1,) * 3)
+        assert not np.any(r[:, t + u + v > lmax])
+        for n in range(5):
+            memo: dict = {}
+            for t in range(lmax + 1):
+                for u in range(lmax + 1 - t):
+                    for v in range(lmax + 1 - t - u):
+                        ref = mm.hermite_r(t, u, v, p[n], pq[n], memo)
+                        assert r[n, t, u, v] == pytest.approx(
+                            ref, rel=1e-10, abs=1e-12
+                        )
 
 
 def test_one_electron_vs_scalar(water_engine):

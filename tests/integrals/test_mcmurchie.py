@@ -7,7 +7,7 @@ import pytest
 
 from repro.basis.gaussian import build_basis, make_shell
 from repro.geometry.atoms import Geometry
-from repro.integrals import mcmurchie as mm
+from tests.integrals import mcmurchie as mm
 
 
 def test_boys_zero_argument():
