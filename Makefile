@@ -5,7 +5,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: lint test test-all sanitize-smoke trace-demo faults-demo \
-	test-faults test-canonical coverage-gate bench bench-compare
+	test-faults test-canonical test-integrals coverage-gate bench \
+	bench-compare
 
 # qfbench (benchmarks/qfbench/README.md): run.py writes each seed's
 # record-<sha>-seed<S>.json into BENCH_OUT; `make bench` copies it on
@@ -79,6 +80,13 @@ test-canonical:
 		tests/pipeline/test_canonical_integration.py \
 		tests/pipeline/test_cache.py \
 		tests/pipeline/test_golden_spectra.py
+
+# the integral suites with the sanitizer on: the engine against the
+# scalar McMurchie-Davidson reference and the loop oracle (bit for
+# bit), derivatives against finite differences and translational
+# invariance, and the Hermite Coulomb read bound
+test-integrals:
+	QF_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/integrals
 
 # line-coverage gate over src/repro/pipeline on the tier-1 suite
 # (stdlib tracer, no coverage.py needed — repro.devtools.covgate)

@@ -28,18 +28,18 @@ from tests.integrals.corpora import random_system
 L_SHELL = 2  # s, p, d on each side of a pair
 
 
-@pytest.mark.parametrize("la,lb,lc,ld", itertools.product(
-    range(L_SHELL + 1), repeat=4))
-def test_combined_index_within_total_order(la, lb, lc, ld):
+def test_combined_index_within_total_order():
     """The gather tables of every (bra, ket) class: plain (integrals,
     Schwarz), bra derivative (gradients) and ket derivative
     (``ket_stack`` of ``eri_deriv``)."""
-    lbra, lket = la + lb, lc + ld
-    for lb_, lk_ in ((lbra, lket), (lbra + 1, lket), (lbra, lket + 1)):
-        ti, ui, vi = _combined_index(hermite_combos(lb_), hermite_combos(lk_))
-        total = ti + ui + vi
-        assert total.max() == lb_ + lk_
-        assert total.min() == 0
+    for la, lb, lc, ld in itertools.product(range(L_SHELL + 1), repeat=4):
+        lbra, lket = la + lb, lc + ld
+        for lb_, lk_ in ((lbra, lket), (lbra + 1, lket), (lbra, lket + 1)):
+            ti, ui, vi = _combined_index(hermite_combos(lb_),
+                                         hermite_combos(lk_))
+            total = ti + ui + vi
+            assert total.max() == lb_ + lk_
+            assert total.min() == 0
 
 
 class _BoundedR(np.ndarray):
@@ -63,7 +63,7 @@ class _BoundedR(np.ndarray):
 
 @pytest.fixture
 def r_reads(monkeypatch):
-    """Route the engine's R tensors through :class:`_BoundedR`; yields
+    """Route the engine's R tensors through :class:`_BoundedR`; returns
     the (lmax, highest order read) log."""
     reads: list = []
     real = engine_mod.hermite_coulomb_vec
