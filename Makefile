@@ -5,8 +5,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: lint test test-all sanitize-smoke trace-demo faults-demo \
-	test-faults test-canonical test-integrals coverage-gate bench \
-	bench-compare
+	test-faults test-canonical test-integrals test-obs coverage-gate \
+	bench bench-compare
 
 # qfbench (benchmarks/qfbench/README.md): run.py writes each seed's
 # record-<sha>-seed<S>.json into BENCH_OUT; `make bench` copies it on
@@ -87,6 +87,14 @@ test-canonical:
 # invariance, and the Hermite Coulomb read bound
 test-integrals:
 	QF_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/integrals
+
+# the telemetry suites with the sanitizer on: spans, exporters and the
+# manifest, the CLI telemetry flags, and the executor backends whose
+# pool workers ship spans back to the parent — the cross-process merge
+# that carries every phase time (phase_wall_s is summed from spans)
+test-obs:
+	QF_SANITIZE=1 $(PYTHON) -m pytest -x -q \
+		tests/obs tests/test_cli.py tests/pipeline/test_executor.py
 
 # line-coverage gate over src/repro/pipeline on the tier-1 suite
 # (stdlib tracer, no coverage.py needed — repro.devtools.covgate)

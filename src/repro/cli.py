@@ -117,7 +117,7 @@ def _finish_obs(args, tracer, result, command: str, config: dict) -> None:
         print(f"trace written to {path}")
     if args.metrics:
         path = write_metrics(args.metrics, counters=counters(),
-                             records=tracer.records, timer=result.timer)
+                             records=tracer.records)
         print(f"metrics written to {path}")
     if args.manifest:
         extras = {}
@@ -130,7 +130,7 @@ def _finish_obs(args, tracer, result, command: str, config: dict) -> None:
         manifest = collect_manifest(
             command=command, config=config,
             seeds={"seed": getattr(args, "seed", None)},
-            timer=result.timer, throughput=result.throughput,
+            records=tracer.records, throughput=result.throughput,
             extras=extras,
         )
         manifest.write(args.manifest)

@@ -39,10 +39,11 @@ QF008 raw-clock          Direct ``time.perf_counter()`` /
                          ``perf_counter_ns()`` calls outside the
                          sanctioned timing layers
                          (:mod:`repro.utils.timing`, :mod:`repro.obs`).
-                         Ad-hoc clock reads bypass the Timer /
-                         Stopwatch / tracer instrumentation, so their
-                         wall time is invisible to ``phase_wall_s``,
-                         the span trace, and the run manifest.
+                         Ad-hoc clock reads bypass the tracer spans
+                         (and ``Stopwatch``, for times that must exist
+                         untraced), so their wall time is invisible to
+                         the span trace and the manifest's
+                         ``phase_wall_s``.
 QF009 shell-loop         A python-level ``for`` loop over shells /
                          primitive pairs inside :mod:`repro.integrals`.
                          Per-pair python is the overhead the batched
@@ -361,9 +362,10 @@ class RuleVisitor(ast.NodeVisitor):
         if hit:
             self._emit(
                 node, "QF008",
-                f"direct '{dotted}()' call — use Timer/Stopwatch from "
-                "repro.utils.timing or a tracer span so the wall time "
-                "reaches phase_wall_s and the trace; annotate true "
+                f"direct '{dotted}()' call — use a tracer span so the "
+                "wall time reaches the trace and phase_wall_s (or "
+                "Stopwatch from repro.utils.timing for a time needed "
+                "untraced); annotate true "
                 "exceptions with '# qf: raw-clock'",
             )
 

@@ -13,7 +13,8 @@ real-space Poisson solve; the grid-based versions of phases 2-4 are
 implemented in :mod:`repro.kernels` where their FLOP rates are
 measured for Table I). Phase 4 is F(1) = J[P(1)] - 0.5 K[P(1)], and
 phase 1 is the U-update. Each CPHF iteration cycles 1 → 4, so the
-timer labels here match the paper's phase names.
+span names here (``dfpt.p1``, ``dfpt.n1r_poisson``, ``dfpt.h1``) match
+the paper's phase names.
 
 Conventions: closed-shell RHF, real orbitals. The perturbed Fock /
 overlap equations for a field direction x reduce to
@@ -38,7 +39,6 @@ from repro.obs.counters import counters
 from repro.obs.tracer import get_tracer
 from repro.scf.rhf import SCFResult
 from repro.utils.flops import FlopCounter, gemm_flops
-from repro.utils.timing import Timer
 
 
 @dataclass
@@ -60,7 +60,6 @@ class CPHF:
         scf: SCFResult,
         conv_tol: float = 1e-8,
         max_iter: int = 100,
-        timer: Timer | None = None,
         flops: FlopCounter | None = None,
     ):
         if scf.eri is None and scf.df is None:
@@ -68,7 +67,6 @@ class CPHF:
         self.scf = scf
         self.conv_tol = conv_tol
         self.max_iter = max_iter
-        self.timer = timer or Timer()
         self.flops = flops or FlopCounter()
 
     # -- response Fock build --------------------------------------------------
@@ -86,21 +84,21 @@ class CPHF:
         nbf = p1.shape[0]
         xc = scf.extras.get("xc")
         tracer = get_tracer()
-        with self.timer.section("n1r+poisson"), tracer.span("dfpt.n1r_poisson"):
+        with tracer.span("dfpt.n1r_poisson"):
             if scf.eri is not None:
                 j = np.einsum("abcd,cd->ab", scf.eri, p1)
             else:
                 j = scf.df.coulomb(p1)
             self.flops.add("n1r", gemm_flops(nbf, nbf, nbf))
         if xc is not None:
-            with self.timer.section("h1"), tracer.span("dfpt.h1"):
+            with tracer.span("dfpt.h1"):
                 chi = xc["chi"]
                 n1 = np.einsum("pm,pm->p", chi @ p1, chi)
                 wf = xc["grid"].weights * xc["fxc"] * n1
                 vxc1 = (chi * wf[:, None]).T @ chi
                 self.flops.add("h1", 2 * gemm_flops(chi.shape[0], nbf, nbf))
             return j + vxc1
-        with self.timer.section("h1"), tracer.span("dfpt.h1"):
+        with tracer.span("dfpt.h1"):
             k = scf.df.exchange_density(p1) if scf.eri is None else np.einsum(
                 "acbd,cd->ab", scf.eri, p1
             )
@@ -151,11 +149,11 @@ class CPHF:
             u_next = np.empty_like(u)
             tracer = get_tracer()
             for x in range(3):
-                with self.timer.section("p1"), tracer.span("dfpt.p1"):
+                with tracer.span("dfpt.p1"):
                     xmat = c_v @ u[x] @ c_o.T
                     p1 = 2.0 * (xmat + xmat.T)
                 f1 = self._response_fock(p1)
-                with self.timer.section("p1"), tracer.span("dfpt.p1"):
+                with tracer.span("dfpt.p1"):
                     g = c_v.T @ f1 @ c_o
                     u_next[x] = -(q[x] + g) / denom
             resid = u_next - u

@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from repro.obs.tracer import get_tracer
 from repro.scf.rhf import SCFResult
 
 
@@ -153,13 +154,14 @@ def gradient(scf: SCFResult) -> np.ndarray:
     """Analytic nuclear gradient dE/dR, shape (natoms, 3), hartree/bohr."""
     if not scf.converged:
         raise ValueError("gradient requires a converged SCF result")
-    amap = scf.basis.function_atom_map()
-    g = _one_electron_gradient(scf, amap)
-    if scf.eri is not None:
-        g += _exact_two_electron_gradient(scf, amap)
-    else:
-        g += _df_two_electron_gradient(scf, amap)
-    g += nuclear_repulsion_gradient(
-        scf.geometry.numbers.astype(float), scf.geometry.coords
-    )
+    with get_tracer().span("gradient", natoms=scf.geometry.natoms):
+        amap = scf.basis.function_atom_map()
+        g = _one_electron_gradient(scf, amap)
+        if scf.eri is not None:
+            g += _exact_two_electron_gradient(scf, amap)
+        else:
+            g += _df_two_electron_gradient(scf, amap)
+        g += nuclear_repulsion_gradient(
+            scf.geometry.numbers.astype(float), scf.geometry.coords
+        )
     return g

@@ -39,7 +39,7 @@ from repro.geometry.atoms import Geometry
 from repro.obs.counters import counters
 from repro.obs.tracer import get_tracer, telemetry_shipment
 from repro.scf.rhf import RHF, SCFResult
-from repro.utils.timing import Timer
+from repro.utils.timing import Stopwatch
 
 
 @dataclass
@@ -72,7 +72,7 @@ class CoordinateJobResult:
     dalpha_col: np.ndarray | None   # (3, 3)
     niter_plus: int
     niter_minus: int
-    timings: dict = field(default_factory=dict)  # name -> (seconds, count)
+    wall_s: float                   # the job's own wall time
     #: telemetry captured in a pool worker (empty for in-process jobs);
     #: ``pid`` lets the parent skip merging its own direct reports
     spans: list = field(default_factory=list)
@@ -112,30 +112,28 @@ def coordinate_job(
 ) -> CoordinateJobResult:
     """Central-difference data for one coordinate (both signs).
 
-    The +delta SCF is seeded from the base density; the -delta SCF is
-    seeded from the converged +delta density — the nearest previously
-    converged point for that coordinate (2 delta away instead of the
-    base's delta... in the displaced coordinate the + density is simply
-    the best available guess that costs nothing extra to keep).
-    ``side_done()`` is invoked after each sign completes (serial
-    progress reporting; must be ``None`` when shipped to a pool).
+    Runs SCF, gradient and (with ``compute_raman``) CPHF at +delta,
+    then at -delta. The +delta SCF is seeded from the base density.
+    The -delta SCF is seeded from the converged +delta density, the
+    last density converged for this coordinate, which is already in
+    hand. The result's ``wall_s`` is the job's own wall time, measured
+    in the process that ran it. ``side_done()`` is invoked after each
+    sign completes (serial progress reporting; must be ``None`` when
+    shipped to a pool).
     """
-    timer = Timer()
+    sw = Stopwatch()
     sides = []
     guess = base_density
     with telemetry_shipment() as shipment:
         with get_tracer().span("hessian.coordinate", atom=atom, axis=axis):
             for sign in (+1.0, -1.0):
-                with timer.section("scf_displaced"):
-                    res = _displaced_scf(
-                        geometry, atom, axis, sign * delta, guess, scf_kwargs
-                    )
-                with timer.section("gradient_displaced"):
-                    g = gradient(res)
+                res = _displaced_scf(
+                    geometry, atom, axis, sign * delta, guess, scf_kwargs
+                )
+                g = gradient(res)
                 a = None
                 if compute_raman:
-                    with timer.section("cphf_displaced"):
-                        a = CPHF(res).run().alpha
+                    a = CPHF(res).run().alpha
                 sides.append((g, a, res.niter))
                 # seed the -delta run from the +delta converged density
                 guess = res.density
@@ -149,10 +147,7 @@ def coordinate_job(
         dalpha_col=(ap - am) / (2.0 * delta) if compute_raman else None,
         niter_plus=np_,
         niter_minus=nm_,
-        timings={
-            name: (timer.totals[name], timer.counts[name])
-            for name in timer.totals
-        },
+        wall_s=sw.elapsed(),
         spans=shipment.spans,
         counter_delta=shipment.counters,
         pid=os.getpid(),
@@ -166,7 +161,6 @@ def fragment_response(
     basis_name: str = "sto-3g",
     eri_mode: str = "auto",
     schwarz_cutoff: float = 1.0e-12,
-    timer: Timer | None = None,
     progress=None,
     pool: Executor | None = None,
 ) -> FragmentResponse:
@@ -196,20 +190,16 @@ def fragment_response(
         :mod:`repro.pipeline.executor`). Results are numerically
         identical to the serial loop.
     """
-    timer = timer or Timer()
     scf_kwargs = dict(
         basis_name=basis_name, eri_mode=eri_mode, schwarz_cutoff=schwarz_cutoff
     )
-    with timer.section("scf_base"):
-        base = RHF(geometry, **scf_kwargs).run()
+    base = RHF(geometry, **scf_kwargs).run()
     if not base.converged:
         raise RuntimeError("base SCF failed to converge")
-    with timer.section("gradient_base"):
-        g0 = gradient(base)
+    g0 = gradient(base)
     alpha0 = None
     if compute_raman:
-        with timer.section("cphf_base"):
-            alpha0 = CPHF(base).run().alpha
+        alpha0 = CPHF(base).run().alpha
 
     n = geometry.natoms
     ncoord = 3 * n
@@ -261,15 +251,14 @@ def fragment_response(
     counters().inc("hessian.coordinate_jobs", len(results))
     iters_plus = 0
     iters_minus = 0
+    jobs_s = 0.0
     for res in results:
         hessian[res.col] = res.hess_col
         if compute_raman:
             dalpha[res.col] = res.dalpha_col
         iters_plus += res.niter_plus
         iters_minus += res.niter_minus
-        for name, (secs, cnt) in res.timings.items():
-            timer.totals[name] += secs
-            timer.counts[name] += cnt
+        jobs_s += res.wall_s
     # the exact Hessian is symmetric; FD noise is split evenly
     hessian = 0.5 * (hessian + hessian.T)
     resp = FragmentResponse(
@@ -282,7 +271,9 @@ def fragment_response(
         meta={
             "delta": delta,
             "basis": basis_name,
-            "timer": timer,
+            # summed wall time of the coordinate jobs, wherever they
+            # ran: the displacement executor's busy time
+            "coordinate_jobs_s": jobs_s,
             "schwarz_cutoff": schwarz_cutoff,
             "scf_iters_base": base.niter,
             "scf_iters_plus": iters_plus,

@@ -33,8 +33,14 @@ from repro.kernels.strength_reduction import (
     h1_integration_symmetric,
     rho1_gradient_symmetric,
 )
+from repro.obs.export import phase_totals
+from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.utils.flops import FlopCounter, gemm_flops
-from repro.utils.timing import Timer
+
+#: CPHF's phase spans fold into the cycle's phase keys, as its FLOPs
+#: fold into the same FlopCounter categories
+_CPHF_PHASES = {"dfpt.p1": "p1", "dfpt.n1r_poisson": "n1r+poisson",
+                "dfpt.h1": "h1"}
 
 
 @dataclass
@@ -65,8 +71,10 @@ def run_dfpt_cycle(
     With ``full_cphf`` the response is iterated to convergence (and the
     polarizability returned); otherwise a single first-order cycle is
     executed — the unit the paper's "DFPT time per cycle" measures.
+    The phase seconds are span totals of a local tracer; its spans are
+    handed on to the caller's tracer afterwards.
     """
-    timer = Timer()
+    tracer = Tracer()
     flops = FlopCounter()
     scf = RKS(geometry, radial_points=radial_points).run()
     if not scf.converged:
@@ -83,66 +91,77 @@ def run_dfpt_cycle(
     dip = scf.engine.dipole()
     denom = scf.mo_energy[nocc:, None] - scf.mo_energy[None, :nocc]
 
-    # ---- phase 1: response density matrix P(1) -----------------------------
-    with timer.section("p1"):
-        q = np.einsum("av,ab,bo->vo", c_v, dip[2], c_o)
-        u = -q / denom                     # first-order U
-        xmat = c_v @ u @ c_o.T
-        p1 = 2.0 * (xmat + xmat.T)
-        flops.add("p1", gemm_flops(nvirt, nocc, nbf) + gemm_flops(nbf, nbf, nvirt)
-                  + gemm_flops(nbf, nocc, nbf))
+    with use_tracer(tracer):
+        # ---- phase 1: response density matrix P(1) --------------------------
+        with tracer.span("p1"):
+            q = np.einsum("av,ab,bo->vo", c_v, dip[2], c_o)
+            u = -q / denom                     # first-order U
+            xmat = c_v @ u @ c_o.T
+            p1 = 2.0 * (xmat + xmat.T)
+            flops.add("p1", gemm_flops(nvirt, nocc, nbf)
+                      + gemm_flops(nbf, nbf, nvirt)
+                      + gemm_flops(nbf, nocc, nbf))
 
-    # ---- phase 2: n(1)(r) and its gradient on the molecular grid -----------
-    with timer.section("n1r"):
-        t1 = chi @ p1
-        n1 = np.einsum("pm,pm->p", t1, chi)
-        flops.add("n1r", gemm_flops(npts, nbf, nbf) + 2 * npts * nbf)
-        # gradient via the strength-reduced kernel (one component shown;
-        # production sums x, y, z)
-        _, dchi = evaluate_basis(scf.basis, grid.points, derivative=True)
-        for d in range(3):
-            rho1_gradient_symmetric(chi, dchi[d], p1, flops=_alias(flops, "n1r"))
+        # ---- phase 2: n(1)(r) and its gradient on the molecular grid --------
+        with tracer.span("n1r"):
+            t1 = chi @ p1
+            n1 = np.einsum("pm,pm->p", t1, chi)
+            flops.add("n1r", gemm_flops(npts, nbf, nbf) + 2 * npts * nbf)
+            # gradient via the strength-reduced kernel (one component shown;
+            # production sums x, y, z)
+            _, dchi = evaluate_basis(scf.basis, grid.points, derivative=True)
+            for d in range(3):
+                rho1_gradient_symmetric(chi, dchi[d], p1,
+                                        flops=_alias(flops, "n1r"))
 
-    # ---- phase 3: Poisson solve on the uniform box -------------------------
-    with timer.section("poisson"):
-        ugrid = grid_for_geometry(geometry.coords, n=uniform_n)
-        chi_u = evaluate_basis(scf.basis, ugrid.points())
-        n1_u = np.einsum("pm,pm->p", chi_u @ p1, chi_u).reshape(ugrid.shape)
-        flops.add("poisson", gemm_flops(uniform_n ** 3, nbf, nbf))
-        v1_u = solve_poisson(n1_u, ugrid.h)
-        npad = (2 * uniform_n) ** 3
-        flops.add("poisson", int(2 * 5 * npad * np.log2(npad)))  # fwd+inv FFT
+        # ---- phase 3: Poisson solve on the uniform box ----------------------
+        with tracer.span("poisson"):
+            ugrid = grid_for_geometry(geometry.coords, n=uniform_n)
+            chi_u = evaluate_basis(scf.basis, ugrid.points())
+            n1_u = np.einsum("pm,pm->p", chi_u @ p1, chi_u).reshape(
+                ugrid.shape)
+            flops.add("poisson", gemm_flops(uniform_n ** 3, nbf, nbf))
+            v1_u = solve_poisson(n1_u, ugrid.h)
+            npad = (2 * uniform_n) ** 3
+            # forward + inverse FFT
+            flops.add("poisson", int(2 * 5 * npad * np.log2(npad)))
 
-    # ---- phase 4: response Hamiltonian H(1) ---------------------------------
-    with timer.section("h1"):
-        # XC kernel term on the molecular grid
-        wf = grid.weights * xc["fxc"] * n1
-        h1_xc = (chi * wf[:, None]).T @ chi
-        flops.add("h1", gemm_flops(nbf, nbf, npts))
-        # electrostatic term: trilinear-interpolate v(1) from the box
-        # onto the Becke points, then quadrature against basis pairs
-        # via the symmetric one-GEMM kernel (Fig. 6a structure)
-        from scipy.interpolate import RegularGridInterpolator
+        # ---- phase 4: response Hamiltonian H(1) -----------------------------
+        with tracer.span("h1"):
+            # XC kernel term on the molecular grid
+            wf = grid.weights * xc["fxc"] * n1
+            h1_xc = (chi * wf[:, None]).T @ chi
+            flops.add("h1", gemm_flops(nbf, nbf, npts))
+            # electrostatic term: trilinear-interpolate v(1) from the box
+            # onto the Becke points, then quadrature against basis pairs
+            # via the symmetric one-GEMM kernel (Fig. 6a structure)
+            from scipy.interpolate import RegularGridInterpolator
 
-        interp = RegularGridInterpolator(
-            ugrid.axes(), v1_u, bounds_error=False, fill_value=0.0
-        )
-        v1_pts = interp(grid.points)
-        h1_es = h1_integration_symmetric(
-            chi * (grid.weights * v1_pts)[:, None], chi, flops=_alias(flops, "h1")
-        )
-        h1 = h1_xc + h1_es
+            interp = RegularGridInterpolator(
+                ugrid.axes(), v1_u, bounds_error=False, fill_value=0.0
+            )
+            v1_pts = interp(grid.points)
+            h1_es = h1_integration_symmetric(
+                chi * (grid.weights * v1_pts)[:, None], chi,
+                flops=_alias(flops, "h1"),
+            )
+            h1 = h1_xc + h1_es
 
-    alpha = None
-    if full_cphf:
-        with timer.section("full_cphf"):
-            alpha = CPHF(scf, timer=timer, flops=flops).run().alpha
+        alpha = None
+        if full_cphf:
+            with tracer.span("full_cphf"):
+                alpha = CPHF(scf, flops=flops).run().alpha
+    get_tracer().adopt(tracer.export())
+    seconds: dict[str, float] = {}
+    for name, (secs, _calls) in phase_totals(tracer.records).items():
+        key = _CPHF_PHASES.get(name, name)
+        seconds[key] = seconds.get(key, 0.0) + secs
 
     return DFPTCycleResult(
         natoms=geometry.natoms,
         nbf=nbf,
         flops=dict(flops.totals),
-        seconds={k: timer.total(k) for k in timer.totals},
+        seconds=seconds,
         alpha=alpha,
         extras={"h1_norm": float(np.linalg.norm(h1)), "p1_norm": float(np.linalg.norm(p1))},
     )

@@ -24,6 +24,7 @@ from repro.obs.export import (
     derive_throughput,
     load_jsonl,
     load_trace,
+    phase_totals,
     prometheus_metrics,
     spans_to_jsonl,
     write_metrics,
@@ -43,7 +44,7 @@ from repro.obs.tracer import (
     tracing_requested,
     use_tracer,
 )
-from repro.obs.view import flamegraph, phase_summary, phase_totals, render
+from repro.obs.view import flamegraph, phase_summary, render
 
 __all__ = [
     "Counters",

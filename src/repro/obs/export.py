@@ -32,6 +32,7 @@ __all__ = [
     "load_chrome",
     "write_trace",
     "load_trace",
+    "phase_totals",
     "prometheus_metrics",
     "write_metrics",
     "derive_throughput",
@@ -158,6 +159,20 @@ def load_trace(path: str | Path) -> list[SpanRecord]:
     return load_jsonl(path)
 
 
+# -- per-span-name aggregation ----------------------------------------------
+
+
+def phase_totals(records) -> dict[str, tuple[float, int]]:
+    """``name -> (total seconds, calls)`` over all processes: the one
+    aggregation behind the manifest's ``phase_wall_s``, the Prometheus
+    span series and the ``obs view`` summary."""
+    totals: dict[str, tuple[float, int]] = {}
+    for r in _as_records(records):
+        secs, calls = totals.get(r.name, (0.0, 0))
+        totals[r.name] = (secs + r.dur, calls + 1)
+    return totals
+
+
 # -- Prometheus text metrics ------------------------------------------------
 
 
@@ -166,10 +181,8 @@ def _prom_name(name: str) -> str:
 
 
 def prometheus_metrics(counters: Counters | dict | None = None,
-                       records=None,
-                       timer=None) -> str:
-    """Prometheus text exposition of counters, span aggregates, and
-    (optionally) :class:`~repro.utils.timing.Timer` section totals."""
+                       records=None) -> str:
+    """Prometheus text exposition of counters and span aggregates."""
     lines: list[str] = []
     if counters is not None:
         cdict = counters.as_dict() if isinstance(counters, Counters) \
@@ -179,11 +192,7 @@ def prometheus_metrics(counters: Counters | dict | None = None,
         for name, value in sorted(cdict.items()):
             lines.append(f"qf_{_prom_name(name)}_total {value}")
     if records:
-        totals: dict[str, list[float]] = {}
-        for r in _as_records(records):
-            agg = totals.setdefault(r.name, [0.0, 0.0])
-            agg[0] += r.dur
-            agg[1] += 1.0
+        totals = phase_totals(records)
         lines.append("# HELP qf_span_seconds_total summed span wall time")
         lines.append("# TYPE qf_span_seconds_total counter")
         for name, (secs, _n) in sorted(totals.items()):
@@ -192,22 +201,14 @@ def prometheus_metrics(counters: Counters | dict | None = None,
         lines.append("# HELP qf_span_calls_total span entry count")
         lines.append("# TYPE qf_span_calls_total counter")
         for name, (_secs, n) in sorted(totals.items()):
-            lines.append(f'qf_span_calls_total{{span="{name}"}} {int(n)}')
-    if timer is not None:
-        lines.append("# HELP qf_timer_seconds_total Timer section totals")
-        lines.append("# TYPE qf_timer_seconds_total counter")
-        for name in sorted(timer.totals):
-            lines.append(
-                f'qf_timer_seconds_total{{section="{name}"}} '
-                f"{timer.totals[name]:.6f}")
+            lines.append(f'qf_span_calls_total{{span="{name}"}} {n}')
     return "\n".join(lines) + "\n"
 
 
-def write_metrics(path: str | Path, counters=None, records=None,
-                  timer=None) -> Path:
+def write_metrics(path: str | Path, counters=None, records=None) -> Path:
     path = Path(path)
     path.write_text(
-        prometheus_metrics(counters=counters, records=records, timer=timer),
+        prometheus_metrics(counters=counters, records=records),
         encoding="utf-8",
     )
     return path

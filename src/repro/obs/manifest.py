@@ -19,10 +19,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.obs.counters import Counters, counters as global_counters
+from repro.obs.export import phase_totals
 
 __all__ = ["RunManifest", "collect_manifest", "git_revision"]
 
-MANIFEST_SCHEMA = 1
+#: 2: ``phase_wall_s`` is keyed by span name (summed over the trace)
+MANIFEST_SCHEMA = 2
 
 
 def git_revision(cwd: str | Path | None = None) -> str | None:
@@ -101,14 +103,16 @@ def collect_manifest(
     command: str,
     config: dict | None = None,
     seeds: dict | None = None,
-    timer=None,
+    records=None,
     throughput=None,
     counter_registry: Counters | None = None,
     extras: dict | None = None,
 ) -> RunManifest:
     """Build a :class:`RunManifest` from the live process state.
 
-    ``timer`` contributes ``phase_wall_s``; ``throughput`` (a
+    ``records`` (the run's span records) give ``phase_wall_s``, the
+    total seconds per span name; an untraced run has none and leaves
+    it empty. ``throughput`` (a
     :class:`~repro.pipeline.executor.ThroughputReport`) is embedded as
     its dict form with the per-task rows dropped (they belong in the
     trace, not the manifest).
@@ -129,7 +133,8 @@ def collect_manifest(
                  f"-py{sys.version_info.major}.{sys.version_info.minor}",
         created_unix=time.time(),
         counters=reg.as_dict(),
-        phase_wall_s=dict(timer.totals) if timer is not None else {},
+        phase_wall_s={name: secs for name, (secs, _calls)
+                      in phase_totals(records or ()).items()},
         throughput=tp,
         extras=dict(extras or {}),
     )

@@ -11,24 +11,15 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.obs.export import load_trace
+from repro.obs.export import load_trace, phase_totals
 from repro.obs.tracer import SpanRecord
 
 __all__ = ["phase_summary", "phase_totals", "flamegraph", "render"]
 
 
-def phase_totals(records) -> dict[str, tuple[float, int]]:
-    """``name -> (total seconds, calls)`` over all processes."""
-    totals: dict[str, tuple[float, int]] = {}
-    for r in records:
-        secs, calls = totals.get(r.name, (0.0, 0))
-        totals[r.name] = (secs + r.dur, calls + 1)
-    return totals
-
-
 def phase_summary(records) -> str:
-    """Per-phase table sorted by total time (the ``Timer.report``
-    shape, derived from spans instead of timer sections)."""
+    """Per-phase table of :func:`phase_totals`, sorted by total
+    time."""
     totals = phase_totals(records)
     if not totals:
         return "(empty trace)"

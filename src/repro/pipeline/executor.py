@@ -37,7 +37,12 @@ from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -121,7 +126,6 @@ class ThroughputReport:
     fragments_per_s: float
     worker_utilization: float
     tasks: list[dict] = field(default_factory=list)
-    phase_wall_s: dict = field(default_factory=dict)
     #: retry/reissue/skip accounting when the run was fault-tolerant
     #: (a ResilienceReport dict; flows into the RunManifest)
     resilience: dict | None = None
@@ -135,7 +139,6 @@ class ThroughputReport:
             "fragments_per_s": self.fragments_per_s,
             "worker_utilization": self.worker_utilization,
             "tasks": self.tasks,
-            "phase_wall_s": self.phase_wall_s,
             "resilience": self.resilience,
         }
 
@@ -159,13 +162,16 @@ class FragmentExecutorError(RuntimeError):
         super().__init__(msg)
 
 
-def _run_task(task: FragmentTask) -> FragmentTaskResult:
+def _run_task(task: FragmentTask,
+              pool: Executor | None = None) -> FragmentTaskResult:
     """Execute one task, capturing errors not raising.
 
     Module-level so it pickles into worker processes; the parent turns
     a captured error into :class:`FragmentExecutorError`. Telemetry
     (spans under a per-task ``fragment`` span, counter increments) is
     captured by the shipment and travels back inside the result.
+    ``pool`` fans the task's coordinate jobs out (the displacement
+    backend, which runs this in the parent).
     """
     sw = Stopwatch()
     with telemetry_shipment() as shipment:
@@ -187,10 +193,11 @@ def _run_task(task: FragmentTask) -> FragmentTaskResult:
                     basis_name=task.basis_name,
                     eri_mode=task.eri_mode,
                     schwarz_cutoff=task.schwarz_cutoff,
+                    pool=pool,
                 )
                 apply_post_fault(fault, resp)
                 error = None
-            except Exception as exc:  # qf: broad-except — captured + re-raised in parent
+            except Exception as exc:  # qf: broad-except — captured for the caller
                 resp = None
                 error = (repr(exc), traceback.format_exc())
             sp.set(ok=error is None)
@@ -448,38 +455,7 @@ class DisplacementExecutor(FragmentExecutor):
         counters().inc("resilience.pool_restarts")
 
     def run_one(self, task):
-        sw_task = Stopwatch()
-        plan = active_fault_plan()
-        fault = plan.lookup(task.label, task.attempt) \
-            if plan is not None else None
-        with get_tracer().span(
-            "fragment", label=task.label, natoms=task.natoms,
-            attempt=task.attempt,
-        ) as sp:
-            try:
-                if fault is not None:
-                    counters().inc("resilience.faults_injected")
-                    apply_pre_fault(fault)
-                resp = fragment_response(
-                    task.geometry,
-                    delta=task.delta,
-                    compute_raman=task.compute_raman,
-                    basis_name=task.basis_name,
-                    eri_mode=task.eri_mode,
-                    schwarz_cutoff=task.schwarz_cutoff,
-                    pool=self._pool,
-                )
-                apply_post_fault(fault, resp)
-                error = None
-            except Exception as exc:  # qf: broad-except — captured for the caller
-                resp = None
-                error = (repr(exc), traceback.format_exc())
-            sp.set(ok=error is None)
-        return FragmentTaskResult(
-            index=task.index, label=task.label, natoms=task.natoms,
-            response=resp, wall_s=sw_task.elapsed(), worker=os.getpid(),
-            error=error,
-        )
+        return _run_task(task, pool=self._pool)
 
     def run(self, tasks):
         sw = Stopwatch()
@@ -490,12 +466,7 @@ class DisplacementExecutor(FragmentExecutor):
             if result.error is not None:
                 raise FragmentExecutorError(task.label, *result.error)
             resp = result.response
-            timer = resp.meta.get("timer")
-            if timer is not None:
-                busy_s += sum(
-                    timer.total(k) for k in
-                    ("scf_displaced", "gradient_displaced", "cphf_displaced")
-                )
+            busy_s += resp.meta["coordinate_jobs_s"]
             check_response(resp, label=task.label, phase="displacement")
             results.append(result)
         responses = {r.index: r.response for r in results}

@@ -53,7 +53,6 @@ from repro.spectra.raman import (
     raman_spectrum_dense,
     raman_spectrum_lanczos,
 )
-from repro.utils.timing import Timer
 
 
 @dataclass
@@ -66,7 +65,6 @@ class PipelineResult:
     spectrum: RamanSpectrum | None
     masses_amu: np.ndarray
     unique_pieces: int
-    timer: Timer = field(default_factory=Timer)
     throughput: ThroughputReport | None = None
     #: labels of pieces missing from the Eq. (1) assembly — non-empty
     #: only after a fault-tolerant run under ``skip_and_report``
@@ -147,7 +145,6 @@ class QFRamanPipeline:
         self.skipped_fragments: list[str] = []
         self.rigid_rotations = 0
         self.throughput: ThroughputReport | None = None
-        self.timer = Timer()
         #: the fragment-response store (docs/caching.md): persistent
         #: and shared across runs — exact repeats and rotated copies of
         #: a stored fragment hit instead of recomputing, and a resilient
@@ -158,8 +155,7 @@ class QFRamanPipeline:
     # -- steps -----------------------------------------------------------------
 
     def decompose(self) -> QFDecomposition:
-        with self.timer.section("decompose"), \
-                get_tracer().span("decompose") as sp:
+        with get_tracer().span("decompose") as sp:
             dec = decompose_system(
                 protein=self.protein,
                 residues=self.residues,
@@ -234,11 +230,9 @@ class QFRamanPipeline:
                 f"backend={executor.name} workers={executor.max_workers}"
             )
             try:
-                with self.timer.section("fragment_response"), \
-                        get_tracer().span(
-                            "fragment_response", n_tasks=len(tasks),
-                            backend=executor.name,
-                        ):
+                with get_tracer().span("fragment_response",
+                                       n_tasks=len(tasks),
+                                       backend=executor.name):
                     computed, self.throughput = executor.run(tasks)
             finally:
                 if owns_executor:
@@ -247,15 +241,6 @@ class QFRamanPipeline:
             self.resilience_report = self.throughput.resilience
             if self.resilience_report is not None:
                 counters().inc("pipeline.resilient_runs")
-            # fold the per-fragment sub-phase timers (scf_base,
-            # scf_displaced, cphf_displaced, ...) into the pipeline
-            # timer so phase_wall_s covers worker time, not just the
-            # parent's own sections (skipped fragments have no result)
-            for task in tasks:
-                resp = computed.get(task.index)
-                sub = resp.meta.get("timer") if resp is not None else None
-                if sub is not None:
-                    self.timer.merge(sub)
             if self.canonical is not None:
                 # one entry per fragment class, hit by every copy in
                 # later runs (a resilient run has already checkpointed
@@ -292,8 +277,7 @@ class QFRamanPipeline:
                     continue
                 counters().inc("pipeline.rigid_rotations")
                 self.rigid_rotations += 1
-                with self.timer.section("rotate_response"), \
-                        get_tracer().span("rotate_response"):
+                with get_tracer().span("rotate_response"):
                     responses.append(
                         rotate_response(responses[ref_idx], rot,
                                         piece.geometry)
@@ -347,7 +331,7 @@ class QFRamanPipeline:
         responses_ok = [r for _, r in present]
         if self.skipped_fragments:
             run_span.set(skipped=len(self.skipped_fragments))
-        with self.timer.section("assemble"), get_tracer().span("assemble"):
+        with get_tracer().span("assemble"):
             assembled = assemble_response(
                 pieces_ok, responses_ok, decomposition.natoms_total
             )
@@ -364,8 +348,7 @@ class QFRamanPipeline:
         masses = self.masses()
         spectrum = None
         if omega_cm1 is not None and self.compute_raman:
-            with self.timer.section("spectrum"), \
-                    get_tracer().span("spectrum", solver=solver):
+            with get_tracer().span("spectrum", solver=solver):
                 if solver == "dense":
                     spectrum = raman_spectrum_dense(
                         assembled.hessian, assembled.dalpha_dr, masses,
@@ -385,13 +368,11 @@ class QFRamanPipeline:
                     raise ValueError(f"unknown solver {solver!r}")
         if self.throughput is None:
             # a fully cached / rotate-only run never touches the
-            # executor, but the run-level report (and its phase walls)
-            # must still exist
+            # executor, but the run-level report must still exist
             self.throughput = ThroughputReport(
                 backend="cached", max_workers=0, n_tasks=0, wall_s=0.0,
                 fragments_per_s=0.0, worker_utilization=0.0,
             )
-        self.throughput.phase_wall_s = dict(self.timer.totals)
         return PipelineResult(
             decomposition=decomposition,
             responses=responses,
@@ -399,7 +380,6 @@ class QFRamanPipeline:
             spectrum=spectrum,
             masses_amu=masses,
             unique_pieces=unique,
-            timer=self.timer,
             throughput=self.throughput,
             skipped_fragments=list(self.skipped_fragments),
             canonical=self.reuse_stats(),

@@ -1,84 +1,13 @@
-"""Lightweight hierarchical timers.
+"""The wall clock for code that must time itself with tracing off.
 
-These are used both for profiling the real Python kernels and for
-calibrating the discrete-event cost model (``repro.hpc.costmodel``).
+Phase times come from :mod:`repro.obs` spans (``phase_totals`` over a
+trace). :class:`Stopwatch` covers what has to work untraced: per-task
+wall times, executor busy time and the resilience deadlines.
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-
-
-@dataclass
-class Timer:
-    """Accumulating named timer.
-
-    Example
-    -------
-    >>> t = Timer()
-    >>> with t.section("scf"):
-    ...     pass
-    >>> t.total("scf") >= 0.0
-    True
-    """
-
-    totals: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    counts: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    @contextmanager
-    def section(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.totals[name] += elapsed
-            self.counts[name] += 1
-
-    def total(self, name: str) -> float:
-        """Total accumulated seconds for section ``name`` (0.0 if unseen)."""
-        return self.totals.get(name, 0.0)
-
-    def count(self, name: str) -> int:
-        """Number of times section ``name`` was entered."""
-        return self.counts.get(name, 0)
-
-    def mean(self, name: str) -> float:
-        """Mean seconds per entry for section ``name``."""
-        n = self.counts.get(name, 0)
-        return self.totals.get(name, 0.0) / n if n else 0.0
-
-    def report(self) -> str:
-        """Human-readable multi-line report sorted by total time."""
-        lines = ["section                          total(s)   calls    mean(s)"]
-        for name in sorted(self.totals, key=self.totals.get, reverse=True):
-            lines.append(
-                f"{name:<30} {self.totals[name]:>10.4f} {self.counts[name]:>7d} "
-                f"{self.mean(name):>10.6f}"
-            )
-        return "\n".join(lines)
-
-    def merge(self, other: "Timer") -> "Timer":
-        """Fold another timer's sections into this one.
-
-        The process-pool executor backends run ``fragment_response``
-        (and its ``scf_displaced`` / ``cphf_displaced`` sections) in
-        worker processes; merging each returned fragment timer into
-        the pipeline timer is what keeps ``phase_wall_s`` truthful for
-        work the parent never executed itself.
-        """
-        for name, secs in other.totals.items():
-            self.totals[name] += secs
-        for name, cnt in other.counts.items():
-            self.counts[name] += cnt
-        return self
-
-    def reset(self) -> None:
-        self.totals.clear()
-        self.counts.clear()
 
 
 class Stopwatch:
@@ -95,24 +24,6 @@ class Stopwatch:
         self._start = time.perf_counter()
 
     def elapsed(self) -> float:
-        """Seconds since construction (or the last :meth:`restart`)."""
+        """Seconds since construction."""
         return time.perf_counter() - self._start
 
-    def restart(self) -> float:
-        """Return the elapsed seconds and reset the origin to now."""
-        now = time.perf_counter()
-        elapsed = now - self._start
-        self._start = now
-        return elapsed
-
-
-class WallClock:
-    """Injectable clock.
-
-    The discrete-event simulator uses a virtual clock; real measurements
-    use this wall clock. Sharing the interface keeps instrumented code
-    identical in both modes.
-    """
-
-    def now(self) -> float:
-        return time.perf_counter()

@@ -19,7 +19,6 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.export import load_chrome
-from repro.utils.timing import Timer
 
 
 @pytest.fixture
@@ -95,14 +94,10 @@ def test_write_trace_dispatches_on_suffix(sample_records, tmp_path):
 def test_prometheus_metrics_text(sample_records):
     c = Counters()
     c.inc("scf.runs", 3)
-    timer = Timer()
-    with timer.section("assemble"):
-        pass
-    text = prometheus_metrics(counters=c, records=sample_records, timer=timer)
+    text = prometheus_metrics(counters=c, records=sample_records)
     assert "qf_scf_runs_total 3" in text
     assert 'qf_span_calls_total{span="fragment"} 2' in text
     assert 'qf_span_seconds_total{span="run"}' in text
-    assert 'qf_timer_seconds_total{section="assemble"}' in text
     assert text.endswith("\n")
 
 

@@ -1,21 +1,27 @@
 """Run manifest provenance record."""
 
-from repro.obs import Counters, RunManifest, collect_manifest, git_revision
+from repro.obs import (
+    Counters,
+    RunManifest,
+    Tracer,
+    collect_manifest,
+    git_revision,
+    phase_totals,
+)
 from repro.obs.manifest import MANIFEST_SCHEMA
-from repro.utils.timing import Timer
 
 
 def test_collect_manifest_captures_config_and_counters():
     reg = Counters()
     reg.inc("scf.runs", 5)
-    timer = Timer()
-    with timer.section("assemble"):
+    tracer = Tracer()
+    with tracer.span("assemble"):
         pass
     m = collect_manifest(
         command="water-raman",
         config={"n": 4, "solver": "lanczos"},
         seeds={"seed": 3},
-        timer=timer,
+        records=tracer.records,
         counter_registry=reg,
         extras={"note": "test"},
     )
@@ -23,8 +29,9 @@ def test_collect_manifest_captures_config_and_counters():
     assert m.config == {"n": 4, "solver": "lanczos"}
     assert m.seeds == {"seed": 3}
     assert m.counters == {"scf.runs": 5}
-    assert "assemble" in m.phase_wall_s
-    assert m.schema == MANIFEST_SCHEMA
+    assert m.phase_wall_s == {
+        "assemble": phase_totals(tracer.records)["assemble"][0]}
+    assert m.schema == MANIFEST_SCHEMA == 2
     assert m.versions["python"]
     assert m.versions["numpy"]
     assert m.versions["repro"]
@@ -44,6 +51,7 @@ def test_manifest_embeds_throughput_without_task_rows():
     m = collect_manifest("x", throughput=tp, counter_registry=Counters())
     assert m.throughput["backend"] == "serial"
     assert "tasks" not in m.throughput   # rows belong in the trace
+    assert m.phase_wall_s == {}          # untraced: no span records
 
 
 def test_manifest_json_roundtrip(tmp_path):

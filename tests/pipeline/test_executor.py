@@ -5,11 +5,14 @@ The parallel backends must be bit-compatible with the serial loop up to
 back as a labeled exception, not a hang.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.geometry import water_box, water_molecule
 from repro.geometry.atoms import Geometry
+from repro.obs import disable_tracing, enable_tracing, phase_totals
 from repro.pipeline import QFRamanPipeline
 from repro.pipeline.executor import (
     DisplacementExecutor,
@@ -81,6 +84,9 @@ def test_displacement_matches_serial(serial_run):
         responses, report = ex.run(tasks)
     _assert_matches(responses, reference)
     assert report.backend == "displacement"
+    # busy time is the summed wall time of the pooled coordinate jobs
+    assert all(r.meta["coordinate_jobs_s"] > 0.0
+               for r in responses.values())
     assert report.worker_utilization > 0.0
 
 
@@ -169,7 +175,11 @@ def serial_pipeline_run():
 
 def test_pipeline_process_backend_identical(serial_pipeline_run):
     ser = serial_pipeline_run("serial")
-    par = serial_pipeline_run("process")
+    tracer = enable_tracing()
+    try:
+        par = serial_pipeline_run("process")
+    finally:
+        disable_tracing()
     assert par.unique_pieces == ser.unique_pieces == 2
     for a, b in zip(par.responses, ser.responses):
         assert np.allclose(a.hessian, b.hessian, atol=ATOL)
@@ -178,7 +188,14 @@ def test_pipeline_process_backend_identical(serial_pipeline_run):
                        atol=ATOL)
     assert ser.throughput is not None and ser.throughput.backend == "serial"
     assert par.throughput is not None and par.throughput.backend == "process"
-    assert par.throughput.phase_wall_s.get("fragment_response", 0.0) > 0.0
+    # the worker spans are merged into the parent's trace, so the
+    # parent's per-phase totals cover the work it never ran itself
+    totals = phase_totals(tracer.records)
+    assert {r.pid for r in tracer.records if r.name == "fragment"} \
+        - {os.getpid()}
+    for name in ("fragment_response", "fragment", "scf"):
+        assert totals.get(name, (0.0, 0))[0] > 0.0, name
+    assert totals["fragment"][1] == 2
 
 
 @pytest.mark.slow

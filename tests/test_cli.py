@@ -48,7 +48,9 @@ def test_water_raman_telemetry_flags(tmp_path, capsys):
     assert m["command"] == "water-raman"
     assert m["config"]["n"] == 1
     assert m["counters"]["scf.runs"] >= 1
+    assert m["schema"] == 2
     assert m["phase_wall_s"]["fragment_response"] > 0
+    assert m["phase_wall_s"]["gradient"] > 0
     # tracing was torn down at command exit
     from repro.obs import NULL_TRACER, get_tracer, tracing_requested
 

@@ -1,9 +1,6 @@
-import time
-
 import pytest
 
 from repro.utils.flops import FlopCounter, axpy_flops, gemm_flops, gemv_flops
-from repro.utils.timing import Timer
 
 
 def test_gemm_flops():
@@ -43,29 +40,3 @@ def test_counter_merge_and_reset():
     assert a.total("y") == 1
     a.reset()
     assert a.total() == 0
-
-
-def test_timer_sections():
-    t = Timer()
-    with t.section("work"):
-        time.sleep(0.01)
-    with t.section("work"):
-        pass
-    assert t.count("work") == 2
-    assert t.total("work") >= 0.01
-    assert t.mean("work") == pytest.approx(t.total("work") / 2)
-    assert "work" in t.report()
-
-
-def test_timer_unseen_section():
-    t = Timer()
-    assert t.total("nope") == 0.0
-    assert t.mean("nope") == 0.0
-
-
-def test_timer_reset():
-    t = Timer()
-    with t.section("a"):
-        pass
-    t.reset()
-    assert t.count("a") == 0
