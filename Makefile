@@ -60,11 +60,15 @@ faults-demo:
 
 # the fault-injection suite with the numerical sanitizer on — every
 # recovery path (retry, reissue, pool restart, skip, resume) under
-# full contract checking, plus the store's checkpoint and durability
-# properties (torn writes, killed writers, crash debris)
+# full contract checking, the executor backends (the executor is the
+# fault-tolerance layer) and their checkpoints into the store, plus
+# the store's durability properties (torn writes, killed writers,
+# crash debris)
 test-faults:
 	QF_SANITIZE=1 $(PYTHON) -m pytest -x -q \
 		tests/pipeline/test_resilience.py \
+		tests/pipeline/test_executor.py \
+		tests/pipeline/test_canonical_integration.py \
 		tests/pipeline/test_runstore_properties.py \
 		tests/pipeline/test_canonical_store.py
 

@@ -37,7 +37,7 @@ def _apply_resilience(args):
     QF_FAULTS so forked workers inherit the plan (the spec is
     validated here, so a typo fails fast instead of silently injecting
     nothing). Returns {} when no resilience flag was given — the
-    pipeline then runs the plain executors.
+    executor then makes one attempt per fragment and fails fast.
     """
     if getattr(args, "inject_faults", None):
         from repro.pipeline.faults import FaultPlan
@@ -70,9 +70,16 @@ def _report_canonical(result) -> None:
           f"(hit rate {100 * stats['hit_rate']:.0f}%)")
 
 
+#: ResilienceReport fields that mean a fragment needed a second chance
+_RECOVERY_FIELDS = ("retries", "reissues", "timeouts", "pool_restarts",
+                    "skipped")
+
+
 def _report_resilience(result) -> None:
+    """Print the fault-tolerance accounting of a run that recovered
+    from (or skipped) a failure; a clean run prints nothing."""
     res = result.throughput.resilience if result.throughput else None
-    if res is None:
+    if res is None or not any(res[name] for name in _RECOVERY_FIELDS):
         return
     print(f"resilience: {res['store_writes']} checkpointed, "
           f"{res['retries']} retries, {res['reissues']} reissues, "
@@ -338,11 +345,13 @@ def main(argv: list[str] | None = None) -> int:
                  "counters, per-phase walls)",
         )
         # fault tolerance (docs/resilience.md) — any of these flags
-        # switches the run into the resilient executor
+        # sets the executor's retry policy (2 retries unless --retries
+        # says otherwise); without them it makes one attempt, fail-fast
         p.add_argument(
             "--retries", type=int, default=None, metavar="N",
             help="retry each failed fragment up to N times with "
-                 "exponential backoff (enables fault-tolerant execution)",
+                 "exponential backoff (default 2 when --timeout-s or "
+                 "--failure-policy is given, else none)",
         )
         p.add_argument(
             "--timeout-s", type=float, default=None, metavar="S",
@@ -367,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument(
             "--canonical-cache", default=None, metavar="DIR",
             help="persistent fragment store: exact repeats are served "
-                 "verbatim (a resilient run resumes from DIR "
+                 "verbatim (an interrupted run resumes from DIR "
                  "bit-identically) and rigidly transformed copies are "
                  "rotated back instead of recomputed",
         )

@@ -200,10 +200,9 @@ def check_response(resp, label: str = "", phase: str = "", *,
     symmetric equilibrium polarizability. The producing fragment and
     pipeline phase go into the error's context.
 
-    ``force=True`` checks even when sanitizing is disabled — the
-    fault-tolerant executor uses it so corrupted worker results always
-    feed the retry path instead of the spectrum
-    (:mod:`repro.pipeline.resilience`).
+    ``force=True`` checks even when sanitizing is disabled — every
+    executor uses it so corrupted worker results always feed the retry
+    path instead of the spectrum (:mod:`repro.pipeline.executor`).
     """
     if not (force or sanitize_enabled()):
         return resp

@@ -26,7 +26,6 @@ from repro.pipeline.resilience import (
     SKIP_AND_REPORT,
     ResiliencePolicy,
     ResilienceReport,
-    ResilientExecutor,
 )
 from repro.pipeline.rigid import kabsch_rotation, rotate_response
 
@@ -47,7 +46,6 @@ __all__ = [
     "SKIP_AND_REPORT",
     "ResiliencePolicy",
     "ResilienceReport",
-    "ResilientExecutor",
     "kabsch_rotation",
     "rotate_response",
 ]

@@ -43,6 +43,7 @@ from repro.pipeline.executor import (
     ThroughputReport,
     make_executor,
 )
+from repro.pipeline.resilience import ResiliencePolicy
 from repro.pipeline.rigid import (
     geometry_signature,
     kabsch_rotation,
@@ -67,9 +68,9 @@ class PipelineResult:
     unique_pieces: int
     throughput: ThroughputReport | None = None
     #: labels of pieces missing from the Eq. (1) assembly — non-empty
-    #: only after a fault-tolerant run under ``skip_and_report``
-    #: exhausted a fragment's retries (their ``responses`` entries are
-    #: None and the spectrum is a flagged partial result)
+    #: only after a run under ``skip_and_report`` exhausted a
+    #: fragment's retries (their ``responses`` entries are None and the
+    #: spectrum is a flagged partial result)
     skipped_fragments: list[str] = field(default_factory=list)
     #: what the run reused and why: in-run rigid rotations, plus the
     #: store's hits/misses/rotations/writes/reject reasons when the run
@@ -105,7 +106,7 @@ class QFRamanPipeline:
         executor: str | FragmentExecutor = "serial",
         max_workers: int | None = None,
         schwarz_cutoff: float = 1.0e-12,
-        resilience=None,
+        resilience: ResiliencePolicy | None = None,
         canonical_cache: str | None = None,
     ):
         if protein is None and not waters:
@@ -136,19 +137,18 @@ class QFRamanPipeline:
         self.executor = executor
         self.max_workers = max_workers
         self.schwarz_cutoff = schwarz_cutoff
-        #: a ResiliencePolicy (or True for defaults) switches the run
-        #: into fault-tolerant execution — retries, timeouts,
-        #: checkpoint/resume (docs/resilience.md); ignored when
-        #: ``executor`` is a ready instance
+        #: the executor's ResiliencePolicy — retries, timeouts, the
+        #: failure policy (docs/resilience.md); None is one attempt per
+        #: fragment, fail-fast. Ignored when ``executor`` is a ready
+        #: instance (which carries its own)
         self.resilience = resilience
-        self.resilience_report: dict | None = None
         self.skipped_fragments: list[str] = []
         self.rigid_rotations = 0
         self.throughput: ThroughputReport | None = None
         #: the fragment-response store (docs/caching.md): persistent
         #: and shared across runs — exact repeats and rotated copies of
-        #: a stored fragment hit instead of recomputing, and a resilient
-        #: run checkpoints into it
+        #: a stored fragment hit instead of recomputing, and the
+        #: executor checkpoints every accepted fragment into it
         self.canonical = (CanonicalStore(canonical_cache)
                           if canonical_cache is not None else None)
 
@@ -221,8 +221,7 @@ class QFRamanPipeline:
             owns_executor = isinstance(self.executor, str)
             executor = (
                 make_executor(self.executor, max_workers=self.max_workers,
-                              resilience=self.resilience,
-                              store=self.canonical)
+                              policy=self.resilience)
                 if owns_executor else self.executor
             )
             self._log(
@@ -233,25 +232,18 @@ class QFRamanPipeline:
                 with get_tracer().span("fragment_response",
                                        n_tasks=len(tasks),
                                        backend=executor.name):
-                    computed, self.throughput = executor.run(tasks)
+                    # each accepted fragment is checkpointed into the
+                    # store as it validates: one entry per fragment
+                    # class, hit by every copy in later runs
+                    computed, self.throughput = executor.run(
+                        tasks, store=self.canonical)
             finally:
                 if owns_executor:
                     executor.close()
             self._log(self.throughput.summary())
-            self.resilience_report = self.throughput.resilience
-            if self.resilience_report is not None:
-                counters().inc("pipeline.resilient_runs")
-            if self.canonical is not None:
-                # one entry per fragment class, hit by every copy in
-                # later runs (a resilient run has already checkpointed
-                # each fragment, and the store keeps the first entry)
-                for task in tasks:
-                    resp = computed.get(task.index)
-                    if resp is not None:
-                        self.canonical.store_task(task, resp)
 
         # -- assemble in decomposition order ----------------------------------
-        # a fault-tolerant run under skip_and_report may come back with
+        # a run under skip_and_report may come back with
         # fragments missing; their entries (and any rigid duplicates
         # rotated off them) become None and are flagged for the caller
         responses: list[FragmentResponse | None] = []

@@ -7,6 +7,8 @@ corrupted — exactly the class of silent numerical fault the sanitizer
 exists for.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.pipeline import QFRamanPipeline
 from repro.pipeline.executor import (
     FragmentTask,
     SerialExecutor,
+    make_executor,
     verify_determinism,
 )
 
@@ -90,6 +93,32 @@ def test_verify_determinism_detects_divergence(single_water_tasks, monkeypatch):
         verify_determinism(tasks, responses, phase="process")
     assert "fragment=water-0" in str(exc.value)
     assert "determinism" in exc.value.rule
+
+
+def test_process_backend_runs_the_determinism_check(single_water_tasks,
+                                                    monkeypatch):
+    """The digest check is wired through the pool loop: a parent-only
+    divergence (the pool workers compute the genuine response, the
+    parent's serial recomputation a perturbed one) must abort the
+    process backend's run with a violation naming the fragment."""
+    real = executor_mod.fragment_response
+    parent = os.getpid()
+
+    def diverging(geometry, **kwargs):
+        resp = real(geometry, **kwargs)
+        if os.getpid() == parent:
+            resp.hessian = resp.hessian + 1.0e-12
+        return resp
+
+    monkeypatch.setattr(executor_mod, "fragment_response", diverging)
+    monkeypatch.setenv("QF_SANITIZE", "1")
+    monkeypatch.setenv("QF_SANITIZE_DETERMINISM", "1")
+    with make_executor("process", max_workers=1) as ex:
+        with pytest.raises(ContractViolation) as exc:
+            ex.run(single_water_tasks)
+    assert "fragment=water-0" in str(exc.value)
+    assert "phase=process" in str(exc.value)
+    assert exc.value.rule == "determinism"
 
 
 @pytest.mark.slow

@@ -1,11 +1,17 @@
 """Integration of the fragment-response store with its callers.
 
 The store has one lookup rule and three callers — the pipeline's plan
-phase, the resilient executor's checkpoints and the CLI — and each has
-a contract worth pinning: an exact entry is served verbatim before any
+phase, the executor's checkpoints and the CLI — and each has a
+contract worth pinning: an exact entry is served verbatim before any
 rotation is attempted (resume stays bit-identical), the plan phase is
-the only lookup, and a store never switches a run into resilient mode.
+the only lookup, every store-backed run checkpoints as it goes, and a
+store never changes the retry policy.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +20,9 @@ from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
 from repro.geometry.water import random_rotation
 from repro.pipeline.canonical import CanonicalStore
+from repro.pipeline.executor import FragmentTask
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _water(i: int = 0) -> Geometry:
@@ -94,22 +103,75 @@ def test_run_store_off_by_default(tmp_path, monkeypatch):
 
 
 def test_store_does_not_imply_resilience(tmp_path):
-    from repro.pipeline import QFRamanPipeline
-    from repro.pipeline.executor import SerialExecutor, make_executor
+    """A store never changes the retry policy: with or without one, an
+    executor built without a policy makes one attempt per fragment and
+    fails fast, with no timeout."""
+    from repro.pipeline import FAIL_FAST, QFRamanPipeline, ResiliencePolicy
+    from repro.pipeline.executor import make_executor
 
-    store = CanonicalStore(tmp_path)
-    ex = make_executor("serial", store=store)
-    try:
-        assert type(ex) is SerialExecutor
-    finally:
-        ex.close()
+    with make_executor("serial") as ex:
+        assert ex.policy == ResiliencePolicy(max_attempts=1)
+        assert ex.policy.failure_policy == FAIL_FAST
+        assert ex.policy.timeout_s is None
     pipe = QFRamanPipeline(waters=[_water()], canonical_cache=tmp_path)
     assert pipe.resilience is None and pipe.canonical is not None
 
 
+_CHECKPOINT_DRIVER = """\
+import sys
+
+import numpy as np
+
+from repro.geometry.atoms import Geometry
+from repro.pipeline import FragmentTask, make_executor
+from repro.pipeline.canonical import CanonicalStore
+
+
+def h2(z):
+    return Geometry(["H", "H"], np.array([[0.0, 0.0, 0.0], [0.0, 0.0, z]]))
+
+
+tasks = [FragmentTask(index=0, label="a", geometry=h2(1.40), eri_mode="exact"),
+         FragmentTask(index=1, label="b", geometry=h2(1.45), eri_mode="exact")]
+with make_executor("serial") as ex:
+    ex.run(tasks, store=CanonicalStore(sys.argv[1]))
+"""
+
+
+def test_default_policy_run_checkpoints_as_it_goes(tmp_path):
+    """A store-backed run with no retries still checkpoints each
+    fragment the moment it validates: a ``die`` fault on the second
+    fragment (largest-first, equal sizes keep their order) kills the
+    driver, and the first fragment is already in the store."""
+    from repro.pipeline.faults import DIE_EXIT_CODE
+
+    driver = tmp_path / "driver.py"
+    driver.write_text(_CHECKPOINT_DRIVER)
+    store = tmp_path / "store"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env["QF_FAULTS"] = "die:b@*"
+    proc = subprocess.run([sys.executable, str(driver), str(store)],
+                          env=env, cwd=REPO_ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == DIE_EXIT_CODE, proc.stderr
+
+    def task(label, z):
+        geom = Geometry(["H", "H"], np.array([[0.0, 0.0, 0.0],
+                                              [0.0, 0.0, z]]))
+        return FragmentTask(index=0, label=label, geometry=geom,
+                            eri_mode="exact")
+
+    reopened = CanonicalStore(store)
+    assert len(reopened) == 1
+    assert reopened.load_task(task("a", 1.40)) is not None
+    assert reopened.load_task(task("b", 1.45)) is None
+    assert reopened.hits == 1 and reopened.rotations == 0
+
+
 def test_cli_flags_parse_and_forward(monkeypatch):
     """``--canonical-cache`` reaches the pipeline as ``canonical_cache``
-    and, on its own, leaves the run non-resilient."""
+    and, on its own, sets no retry policy."""
     import repro.pipeline
     from repro.cli import main
 

@@ -1,12 +1,15 @@
 """Fault-tolerant fragment execution: the injection test harness.
 
-Every recovery path of :mod:`repro.pipeline.resilience` is exercised
-with deterministic injected faults (``QF_FAULTS``):
+Every recovery path of the executors' dispatch protocol
+(:mod:`repro.pipeline.executor`, configured by a
+:class:`~repro.pipeline.resilience.ResiliencePolicy`) is exercised with
+deterministic injected faults (``QF_FAULTS``):
 
 * crash-once-then-succeed → retried, bit-identical result;
 * silently corrupted arrays → contract check catches, retry succeeds;
 * hang beyond the wall-clock timeout → speculative reissue wins
-  without waiting out the straggler;
+  without waiting out the straggler, and a straggler with no attempt
+  left still counts until it returns;
 * hard worker death → pool restart + retry;
 * exhausted retries → labeled abort (``fail_fast``) or a flagged
   partial spectrum (``skip_and_report``);
@@ -36,7 +39,6 @@ from repro.pipeline import (
     FragmentExecutorError,
     FragmentTask,
     ResiliencePolicy,
-    ResilientExecutor,
     make_executor,
 )
 from repro.pipeline.canonical import CanonicalStore, task_key
@@ -185,7 +187,7 @@ class TestResiliencePolicy:
 def test_crash_once_then_succeed(reference, monkeypatch):
     monkeypatch.setenv("QF_FAULTS", "crash:a@1")
     policy = ResiliencePolicy(max_attempts=2, backoff_s=0.0)
-    with ResilientExecutor(base="serial", policy=policy) as ex:
+    with make_executor("serial", policy=policy) as ex:
         responses, report = ex.run(_tasks())
     _assert_bitwise(responses, reference)
     res = report.resilience
@@ -196,10 +198,10 @@ def test_crash_once_then_succeed(reference, monkeypatch):
 
 def test_corrupted_result_detected_and_retried(reference, monkeypatch):
     """A silently NaN-poisoned Hessian must be caught by the response
-    contract (always on in resilient mode) and recomputed."""
+    contract (always on, whatever QF_SANITIZE says) and recomputed."""
     monkeypatch.setenv("QF_FAULTS", "corrupt:b@1")
     policy = ResiliencePolicy(max_attempts=2, backoff_s=0.0)
-    with ResilientExecutor(base="serial", policy=policy) as ex:
+    with make_executor("serial", policy=policy) as ex:
         responses, report = ex.run(_tasks())
     _assert_bitwise(responses, reference)
     res = report.resilience
@@ -214,8 +216,8 @@ def test_hang_timeout_speculative_reissue(reference, monkeypatch):
     monkeypatch.setenv("QF_FAULTS", "hang:a@1:6.0")
     policy = ResiliencePolicy(max_attempts=2, backoff_s=0.0, timeout_s=0.8)
     sw = Stopwatch()
-    with ResilientExecutor(base="process", max_workers=2,
-                           policy=policy) as ex:
+    with make_executor("process", max_workers=2,
+                       policy=policy) as ex:
         responses, report = ex.run(_tasks())
     wall = sw.elapsed()
     _assert_bitwise(responses, reference)
@@ -228,8 +230,8 @@ def test_hang_timeout_speculative_reissue(reference, monkeypatch):
 def test_worker_death_restarts_pool_and_retries(reference, monkeypatch):
     monkeypatch.setenv("QF_FAULTS", "die:a@1")
     policy = ResiliencePolicy(max_attempts=3, backoff_s=0.0)
-    with ResilientExecutor(base="process", max_workers=2,
-                           policy=policy) as ex:
+    with make_executor("process", max_workers=2,
+                       policy=policy) as ex:
         responses, report = ex.run(_tasks())
     _assert_bitwise(responses, reference)
     res = report.resilience
@@ -244,9 +246,9 @@ def test_exhausted_retries_fail_fast(monkeypatch, tmp_path):
     policy = ResiliencePolicy(max_attempts=2, backoff_s=0.0,
                               failure_policy=FAIL_FAST)
     store = CanonicalStore(tmp_path / "store")
-    with ResilientExecutor(base="serial", policy=policy, store=store) as ex:
+    with make_executor("serial", policy=policy) as ex:
         with pytest.raises(FragmentExecutorError, match="injected crash"):
-            ex.run(_tasks())
+            ex.run(_tasks(), store=store)
     # the healthy sibling's work survived the abort
     assert len(store) == 1
 
@@ -255,7 +257,7 @@ def test_exhausted_retries_skip_and_report(reference, monkeypatch):
     monkeypatch.setenv("QF_FAULTS", "crash:a@*")
     policy = ResiliencePolicy(max_attempts=2, backoff_s=0.0,
                               failure_policy=SKIP_AND_REPORT)
-    with ResilientExecutor(base="serial", policy=policy) as ex:
+    with make_executor("serial", policy=policy) as ex:
         responses, report = ex.run(_tasks())
     assert set(responses) == {1}
     assert np.array_equal(responses[1].hessian, reference[1].hessian)
@@ -269,12 +271,30 @@ def test_skip_and_report_under_pool_base(reference, monkeypatch):
     monkeypatch.setenv("QF_FAULTS", "crash:b@*")
     policy = ResiliencePolicy(max_attempts=2, backoff_s=0.0,
                               failure_policy=SKIP_AND_REPORT)
-    with ResilientExecutor(base="process", max_workers=2,
-                           policy=policy) as ex:
+    with make_executor("process", max_workers=2,
+                       policy=policy) as ex:
         responses, report = ex.run(_tasks())
     assert set(responses) == {0}
     assert np.array_equal(responses[0].hessian, reference[0].hessian)
     assert [s["label"] for s in report.resilience["skipped"]] == ["b"]
+
+
+def test_straggler_on_last_attempt_still_wins_under_pool_base(
+        reference, monkeypatch):
+    """One attempt, a short timeout, a hang past it: with no attempt
+    left to reissue, the timed-out attempt is still in flight and is
+    the remaining path to success — its valid result is accepted, as
+    the in-process backends keep a late result."""
+    monkeypatch.setenv("QF_FAULTS", "hang:a@1:2.0")
+    policy = ResiliencePolicy(max_attempts=1, timeout_s=0.5)
+    with make_executor("process", max_workers=2, policy=policy) as ex:
+        responses, report = ex.run(_tasks())
+    _assert_bitwise(responses, reference)
+    res = report.resilience
+    assert res["timeouts"] == 1
+    assert res["reissues"] == 0 and res["retries"] == 0
+    assert res["attempts"] == {"a": 1, "b": 1}
+    assert res["skipped"] == []
 
 
 def test_posthoc_timeout_keeps_valid_result(reference, monkeypatch):
@@ -284,7 +304,7 @@ def test_posthoc_timeout_keeps_valid_result(reference, monkeypatch):
     # (~0.1-0.3 s) must stay under it even on a loaded machine
     monkeypatch.setenv("QF_FAULTS", "hang:a@1:1.5")
     policy = ResiliencePolicy(max_attempts=2, backoff_s=0.0, timeout_s=1.2)
-    with ResilientExecutor(base="serial", policy=policy) as ex:
+    with make_executor("serial", policy=policy) as ex:
         responses, report = ex.run(_tasks())
     _assert_bitwise(responses, reference)
     res = report.resilience
@@ -297,7 +317,7 @@ def test_faults_injected_counter(monkeypatch):
     before = counters().get("resilience.faults_injected")
     policy = ResiliencePolicy(max_attempts=2, backoff_s=0.0,
                               failure_policy=SKIP_AND_REPORT)
-    with ResilientExecutor(base="serial", policy=policy) as ex:
+    with make_executor("serial", policy=policy) as ex:
         ex.run(_tasks()[:1])
     assert counters().get("resilience.faults_injected") == before + 2
 
@@ -308,9 +328,8 @@ def test_faults_injected_counter(monkeypatch):
 def test_run_store_resume_bit_identical(reference, tmp_path):
     store_dir = tmp_path / "store"
     policy = ResiliencePolicy(max_attempts=1)
-    with ResilientExecutor(base="serial", policy=policy,
-                           store=CanonicalStore(store_dir)) as ex:
-        first, report1 = ex.run(_tasks())
+    with make_executor("serial", policy=policy) as ex:
+        first, report1 = ex.run(_tasks(), store=CanonicalStore(store_dir))
     assert report1.resilience["store_writes"] == 2
     assert len(CanonicalStore(store_dir)) == 2
 
@@ -324,9 +343,8 @@ def test_run_store_resume_bit_identical(reference, tmp_path):
         assert np.array_equal(first[k].hessian, second[k].hessian)
 
     # rerunning the executor over the same store rewrites nothing
-    with ResilientExecutor(base="serial", policy=policy,
-                           store=store) as ex:
-        _again, report2 = ex.run(_tasks())
+    with make_executor("serial", policy=policy) as ex:
+        _again, report2 = ex.run(_tasks(), store=store)
     assert report2.resilience["store_writes"] == 0
 
 
@@ -345,16 +363,15 @@ def test_run_store_key_ignores_index_and_attempt():
     assert key(replace(task, basis_name="6-31g")) != k
 
 
-def test_make_executor_wraps_resilient():
-    ex = make_executor("serial", resilience=True)
-    try:
-        assert isinstance(ex, ResilientExecutor)
-        assert ex.name == "resilient+serial"
-        assert ex.policy == ResiliencePolicy()
-    finally:
-        ex.close()
-    with pytest.raises(TypeError, match="resilience"):
-        make_executor("serial", resilience="yes")
+def test_make_executor_rejects_non_policy():
+    """``policy`` takes a ResiliencePolicy or None — no shorthand."""
+    for backend in ("serial", "process", "displacement"):
+        for bad in (True, "yes", {"max_attempts": 3}):
+            with pytest.raises(TypeError, match="ResiliencePolicy"):
+                make_executor(backend, max_workers=1, policy=bad)
+    policy = ResiliencePolicy(max_attempts=2)
+    with make_executor("serial", policy=policy) as ex:
+        assert ex.policy is policy
 
 
 # ------------------------------------------------- pipeline-level faults
