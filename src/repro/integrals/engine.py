@@ -67,29 +67,94 @@ def components(l: int) -> tuple[tuple[int, int, int], ...]:
 # Boys function, vectorized
 # ---------------------------------------------------------------------------
 
-def boys_vec(nmax: int, t: np.ndarray) -> np.ndarray:
-    """F_n(t) for n = 0..nmax over an array of t. Shape (len(t), nmax+1).
+#: Boys table: knot spacing h, Taylor terms K per knot, the crossover
+#: t above which the top order comes from the upward recursion, and
+#: the highest order tabulated
+BOYS_STEP = 0.05
+BOYS_TERMS = 7
+BOYS_TMAX = 36.0
+BOYS_NMAX = 24
 
-    F_nmax is evaluated through the regularized incomplete gamma
-    function; lower orders follow from stable downward recursion
-    F_{n-1}(t) = (2 t F_n(t) + e^{-t}) / (2n - 1).
-    """
-    t = np.asarray(t, dtype=float).ravel()
-    out = np.empty((t.size, nmax + 1))
+
+def boys_closed_form(n: int, t: np.ndarray) -> np.ndarray:
+    """F_n(t) = Γ(n+1/2) P(n+1/2, t) / (2 t^{n+1/2}) through the
+    regularized incomplete gamma function, with the exact limit
+    1/(2n+1) at t = 0. Builds the Boys table; nothing else calls it."""
+    t = np.asarray(t, dtype=float)
     small = t < 1e-13
     ts = np.where(small, 1.0, t)  # placeholder to avoid 0-division
-    n = nmax
-    # F_n(t) = Γ(n+1/2) P(n+1/2, t) / (2 t^{n+1/2})
     log_pref = gammaln(n + 0.5) - (n + 0.5) * np.log(ts)
     fn = np.exp(log_pref) * gammainc(n + 0.5, ts) / 2.0
-    fn = np.where(small, 1.0 / (2 * n + 1), fn)
-    out[:, n] = fn
-    if nmax > 0:
-        emt = np.exp(-t)
-        for m in range(nmax, 0, -1):
-            out[:, m - 1] = (2.0 * t * out[:, m] + emt) / (2 * m - 1)
-        # downward recursion is exact at t=0 too: F_{m-1}(0)=1/(2m-1)
-    return out
+    return np.where(small, 1.0 / (2 * n + 1), fn)
+
+
+@lru_cache(maxsize=None)
+def _boys_table() -> np.ndarray:
+    """Taylor coefficients of F_n about the knots t_i = i h, i h <= BOYS_TMAX.
+
+    Entry ``[n, k, i]`` is ``(-1)^k F_{n+k}(t_i) / k!`` (from
+    dF_n/dt = -F_{n+1}), so ``F_n(t_i + d) = sum_k [n, k, i] d^k``.
+    Shape ``(BOYS_NMAX + 1, BOYS_TERMS, nknots)``; built once, on first
+    use, from :func:`boys_closed_form`.
+    """
+    nknots = int(round(BOYS_TMAX / BOYS_STEP)) + 1
+    knots = np.arange(nknots) * BOYS_STEP
+    f = np.stack([boys_closed_form(n, knots)
+                  for n in range(BOYS_NMAX + BOYS_TERMS)])
+    scale = np.array([(-1.0) ** k / math.factorial(k)
+                      for k in range(BOYS_TERMS)])
+    table = np.stack([f[n: n + BOYS_TERMS] * scale[:, None]
+                      for n in range(BOYS_NMAX + 1)])
+    table.setflags(write=False)
+    return table
+
+
+def boys_vec(nmax: int, t: np.ndarray) -> np.ndarray:
+    """F_n(t) for n = 0..nmax over an array of t. Shape (len(t), nmax+1),
+    a transposed view of an order-major ``(nmax+1, len(t))`` array.
+
+    F_nmax comes from the Boys table for t < BOYS_TMAX: a BOYS_TERMS-term
+    Taylor expansion about the nearest knot, |d| <= h/2, so the
+    truncation is at most (h/2)^K / K! ~ 1.2e-15 relative. Above the
+    table it comes from the upward recursion
+    F_{m+1} = ((2m+1) F_m - e^{-t}) / (2t) from F_0 = sqrt(pi/t)/2,
+    whose relative error erfc(sqrt(t)) is below 2.2e-17 there. Lower
+    orders follow from the stable downward recursion
+    F_{m-1}(t) = (2 t F_m(t) + e^{-t}) / (2m - 1).
+    """
+    if nmax > BOYS_NMAX:
+        raise ValueError(f"Boys order {nmax} above the table's {BOYS_NMAX}")
+    t = np.asarray(t, dtype=float).ravel()
+    out = np.empty((nmax + 1, t.size))
+    emt = np.exp(-t)
+    top = out[nmax]
+    near = t < BOYS_TMAX
+    tn = t[near]
+    knot = (tn * (1.0 / BOYS_STEP) + 0.5).astype(np.intp)
+    d = tn - knot * BOYS_STEP
+    coef = _boys_table()[nmax]
+    acc = coef[BOYS_TERMS - 1].take(knot)
+    for k in range(BOYS_TERMS - 2, -1, -1):
+        acc *= d
+        acc += coef[k].take(knot)
+    top[near] = acc
+    if tn.size < t.size:
+        far = ~near
+        tf = t[far]
+        ef = emt[far]
+        inv2t = 0.5 / tf
+        acc = 0.5 * np.sqrt(math.pi / tf)
+        for m in range(nmax):
+            acc = ((2 * m + 1) * acc - ef) * inv2t
+        top[far] = acc
+    t2 = 2.0 * t
+    for m in range(nmax, 0, -1):
+        # exact at t = 0 too: F_{m-1}(0) = 1/(2m-1)
+        row = out[m - 1]
+        np.multiply(t2, out[m], out=row)
+        row += emt
+        row /= 2 * m - 1
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +203,53 @@ def e_coeffs_1d(la: int, lb: int, a: np.ndarray, b: np.ndarray,
     return e
 
 
-def hermite_combos(lmax: int) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=None)
+def hermite_combos(lmax: int) -> tuple[tuple[int, int, int], ...]:
     """Hermite index triples (t, u, v) with ``t + u + v <= lmax``,
-    lexicographic in (t, u, v)."""
-    return [(t, u, v) for t in range(lmax + 1) for u in range(lmax + 1 - t)
-            for v in range(lmax + 1 - t - u)]
+    lexicographic in (t, u, v). The row order of the compact R array."""
+    return tuple((t, u, v) for t in range(lmax + 1)
+                 for u in range(lmax + 1 - t)
+                 for v in range(lmax + 1 - t - u))
+
+
+def ncombos(lmax: int) -> int:
+    """Number of Hermite triples with t + u + v <= lmax."""
+    return (lmax + 1) * (lmax + 2) * (lmax + 3) // 6
+
+
+@lru_cache(maxsize=None)
+def _combo_rows(lmax: int) -> dict[tuple[int, int, int], int]:
+    """Row of each (t, u, v) in ``hermite_combos(lmax)``."""
+    return {c: i for i, c in enumerate(hermite_combos(lmax))}
+
+
+@lru_cache(maxsize=None)
+def _second_order_terms(total: int) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """The (k-1) R_{..k-2..} terms of the Hermite recursion at one level.
+
+    Every (t, u, v) with ``t + u + v <= total`` recurses along x if
+    t > 0, else y if u > 0, else z; when that index k is at least 2 it
+    also adds (k-1) times the level-below entry whose index in that
+    direction is k-2. Returns the destination rows in
+    ``hermite_combos(total)``, the source rows in
+    ``hermite_combos(total - 1)`` and the coefficients k - 1, shaped
+    (nterms, 1) to broadcast over the charge pairs.
+    """
+    below = _combo_rows(total - 1)
+    rows, src, coef = [], [], []
+    for row, (t, u, v) in enumerate(hermite_combos(total)):
+        d = 0 if t else (1 if u else 2)
+        tuv = [t, u, v]
+        if tuv[d] < 2:
+            continue
+        k = tuv[d]
+        tuv[d] -= 2
+        rows.append(row)
+        src.append(below[tuple(tuv)])
+        coef.append(float(k - 1))
+    return (np.array(rows, dtype=np.intp), np.array(src, dtype=np.intp),
+            np.array(coef)[:, None])
 
 
 def hermite_coulomb_vec(lmax: int, p: np.ndarray, pq: np.ndarray
@@ -152,59 +259,49 @@ def hermite_coulomb_vec(lmax: int, p: np.ndarray, pq: np.ndarray
     Parameters
     ----------
     lmax:
-        Total Hermite order. Entries with ``t+u+v <= lmax`` are
-        evaluated from Boys orders ``0..lmax``; every entry above
-        ``lmax`` is exactly zero, so callers must read only
-        ``t+u+v <= lmax``.
+        Total Hermite order: every (t, u, v) with ``t+u+v <= lmax`` is
+        evaluated, from Boys orders ``0..lmax``.
     p:
         Combined exponents, shape (n,).
     pq:
         Center separations P-Q, shape (n, 3).
 
-    Returns shape ``(n, lmax+1, lmax+1, lmax+1)``.
+    Returns the compact ``(ncombos(lmax), n)`` array whose rows are in
+    ``hermite_combos(lmax)`` order.
+
+    The recursion R^m_{..k+1..} = X_d R^{m+1}_{..k..} + k R^{m+1}_{..k-1..}
+    runs level by level from m = lmax down to 0. Level m holds
+    R^m for every triple of total order <= lmax - m, and only the level
+    below it stays alive. In lexicographic order the x-raised triples of
+    a level are the whole level below it, its y-raised t = 0 triples
+    that level's t = 0 block and its z-raised ones that level's
+    (0, 0, v) run, so each direction is one contiguous row operation;
+    the (k-1) terms are one gather per level.
     """
     p = np.asarray(p, dtype=float).ravel()
     pq = np.asarray(pq, dtype=float).reshape(-1, 3)
-    n = p.size
-    t_arg = p * np.einsum("ij,ij->i", pq, pq)
-    f = boys_vec(lmax, t_arg)  # (n, lmax+1)
-    # R^m_{000} = (-2p)^m F_m
+    # R^m_{000} = (-2p)^m F_m, in place on the order-major Boys rows
+    base = boys_vec(lmax, p * np.einsum("ij,ij->i", pq, pq)).T
     m2p = -2.0 * p
-    # R^m for each (t,u,v) as we build up total order, with the m
-    # dimension kept: rm[(t,u,v)] has shape (n, lmax - (t+u+v) + 1)
-    rm: dict[tuple[int, int, int], np.ndarray] = {}
-    base = np.empty((n, lmax + 1))
-    acc = np.ones(n)
-    for m in range(lmax + 1):
-        base[:, m] = acc * f[:, m]
-        acc = acc * m2p
-    rm[(0, 0, 0)] = base
-    out = np.zeros((n, lmax + 1, lmax + 1, lmax + 1))
-    out[:, 0, 0, 0] = base[:, 0]
-    x, y, z = pq[:, 0], pq[:, 1], pq[:, 2]
-    for total in range(1, lmax + 1):
-        nm = lmax - total + 1
-        for t in range(total + 1):
-            for u in range(total - t + 1):
-                v = total - t - u
-                if t > 0:
-                    prev = rm[(t - 1, u, v)]
-                    val = x[:, None] * prev[:, 1: nm + 1]
-                    if t > 1:
-                        val = val + (t - 1) * rm[(t - 2, u, v)][:, 1: nm + 1]
-                elif u > 0:
-                    prev = rm[(t, u - 1, v)]
-                    val = y[:, None] * prev[:, 1: nm + 1]
-                    if u > 1:
-                        val = val + (u - 1) * rm[(t, u - 2, v)][:, 1: nm + 1]
-                else:
-                    prev = rm[(t, u, v - 1)]
-                    val = z[:, None] * prev[:, 1: nm + 1]
-                    if v > 1:
-                        val = val + (v - 1) * rm[(t, u, v - 2)][:, 1: nm + 1]
-                rm[(t, u, v)] = val
-                out[:, t, u, v] = val[:, 0]
-    return out
+    acc = m2p.copy()
+    for m in range(1, lmax + 1):
+        base[m] *= acc
+        acc *= m2p
+    x, y, z = (np.ascontiguousarray(pq[:, d]) for d in range(3))
+    level = base[lmax:]
+    for m in range(lmax - 1, -1, -1):
+        total = lmax - m
+        n_t0 = (total + 1) * (total + 2) // 2   # triples with t = 0
+        new = np.empty((ncombos(total), p.size))
+        new[0] = base[m]
+        np.multiply(z, level[:total], out=new[1: total + 1])
+        np.multiply(y, level[: n_t0 - total - 1], out=new[total + 1: n_t0])
+        np.multiply(x, level, out=new[n_t0:])
+        rows, src, coef = _second_order_terms(total)
+        if rows.size:
+            new[rows] += coef * level[src]
+        level = new
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +376,7 @@ def _e3_components(
     ex: list[np.ndarray],
     la: int,
     lb: int,
-    combos: list[tuple[int, int, int]],
+    combos: tuple[tuple[int, int, int], ...],
     sign: bool = False,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -309,26 +406,35 @@ def _e3_components(
     return out
 
 
-def _combined_index(
-    combos_b: list[tuple[int, int, int]],
-    combos_k: list[tuple[int, int, int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather tables of the summed Hermite index (t+t', u+u', v+v') for
-    every (bra combo, ket combo) pair. With the bra combos bounded by
-    ``lbra`` and the ket combos by ``lket``, every summed index has
-    total order at most ``lbra + lket``: the order the R tensor must be
-    built to, since :func:`hermite_coulomb_vec` leaves higher entries
-    zero.
+@lru_cache(maxsize=None)
+def _combined_index(lbra: int, lket: int) -> np.ndarray:
+    """Gather table of the summed Hermite index for every (bra combo,
+    ket combo) pair.
+
+    Entry ``[i, j]`` is the row of ``hermite_combos(lbra)[i] +
+    hermite_combos(lket)[j]`` in ``hermite_combos(lbra + lket)``: the
+    compact R array of order ``lbra + lket`` that the caller builds.
+    Shape ``(ncombos(lbra), ncombos(lket))``, read-only.
     """
-    ti = np.empty((len(combos_b), len(combos_k)), dtype=int)
-    ui = np.empty_like(ti)
-    vi = np.empty_like(ti)
-    for i, (t, u, v) in enumerate(combos_b):
-        for j, (tt, uu, vv) in enumerate(combos_k):
-            ti[i, j] = t + tt
-            ui[i, j] = u + uu
-            vi[i, j] = v + vv
-    return ti, ui, vi
+    rows = _combo_rows(lbra + lket)
+    table = np.array([[rows[(t + tt, u + uu, v + vv)]
+                       for (tt, uu, vv) in hermite_combos(lket)]
+                      for (t, u, v) in hermite_combos(lbra)], dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _raised_index(lmax: int) -> np.ndarray:
+    """Gather table of the raised Hermite index: entry ``[d, i]`` is the
+    row of ``hermite_combos(lmax)[i]`` plus one in direction d, in
+    ``hermite_combos(lmax + 1)``. Shape ``(3, ncombos(lmax))``."""
+    rows = _combo_rows(lmax + 1)
+    table = np.array([[rows[tuple(c + (k == d) for k, c in enumerate(tuv))]
+                       for tuv in hermite_combos(lmax)]
+                      for d in range(3)], dtype=np.intp)
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +518,7 @@ class IntegralEngine:
         p = blk.p.reshape(npair, k2)
         pc = blk.pc.reshape(npair, k2, 3)
         ltot = 2 * l_half
-        ti, ui, vi = _combined_index(combos, combos)
+        gather = _combined_index(l_half, l_half)
         out = np.empty(npair)
         chunk = max(1, element_budget // max(1, k2 * k2 * nk))
         for start in range(0, npair, chunk):  # qf: shell-loop — chunked over the element budget; body vectorized
@@ -424,17 +530,14 @@ class IntegralEngine:
             alpha = pb * pk / (pb + pk)
             pref = 2.0 * math.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk))
             pq = pcs[:, :, None, :] - pcs[:, None, :, :]
-            r = hermite_coulomb_vec(
-                ltot, alpha.ravel(), pq.reshape(-1, 3)
-            ).reshape(stop - start, k2, k2, ltot + 1, ltot + 1, ltot + 1)
-            rsel = r[:, :, :, ti, ui, vi]            # (n, k2, k2, nk, nk)
-            rsel *= pref[..., None, None]
-            vals = np.einsum(
-                "rixm,rijmn,rjyn->rxy",
+            r = hermite_coulomb_vec(ltot, alpha.ravel(), pq.reshape(-1, 3))
+            r *= pref.ravel()
+            rsel = r[gather].reshape(nk, nk, stop - start, k2, k2)
+            # the diagonal (ab|ab) of every pair, primitives folded in
+            out[start:stop] = np.einsum(
+                "rixm,mnrij,rjxn->rx",
                 e3b[start:stop], rsel, e3k[start:stop], optimize=True,
-            )
-            diag = np.einsum("rxx->rx", vals)
-            out[start:stop] = diag.max(axis=1)
+            ).max(axis=1)
         return np.sqrt(np.maximum(out, 0.0))
 
     # -- one-electron -------------------------------------------------------
@@ -521,20 +624,19 @@ class IntegralEngine:
         l_tot = blk.la + blk.lb
         combos = hermite_combos(l_tot)
         e3 = _e3_components(ex, blk.la, blk.lb, combos, weights=blk.cc)
-        # R over prim x nucleus
+        # R over prim x nucleus, scaled by 2 pi / p (-Z_C comes below)
         natm = self.charges.size
-        nprim = blk.nprim
+        npair, k2 = blk.npair, blk.k2
         pc = blk.pc[:, None, :] - self.coords[None, :, :]
         p_rep = np.repeat(blk.p, natm)
         r = hermite_coulomb_vec(l_tot, p_rep, pc.reshape(-1, 3))
-        r = r.reshape(nprim, natm, *r.shape[1:])
-        rsel = np.stack([r[:, :, t, u, v] for (t, u, v) in combos], axis=-1)
-        # prim-level value per nucleus: -(2 pi / p) * z_C * sum_k e3 * R
-        pref = 2.0 * math.pi / blk.p
-        contrib = np.einsum("nck,nak->nac", e3, rsel)  # (nprim, natm, ncomp)
-        self._record_class_gemm(nprim, natm, e3.shape[1], len(combos))
-        contrib *= pref[:, None, None]
-        contrib = contrib.reshape(blk.npair, blk.k2, natm, -1).sum(axis=1)
+        r *= 2.0 * math.pi / p_rep
+        # per pair and nucleus: sum over primitives i and combos k of e3 R
+        contrib = np.einsum(
+            "Pick,kPia->Pac", e3.reshape(npair, k2, -1, len(combos)),
+            r.reshape(len(combos), npair, k2, natm), optimize=True,
+        )
+        self._record_class_gemm(npair, natm, e3.shape[1], k2 * len(combos))
         na = len(components(blk.la))
         nb = len(components(blk.lb))
         if per_atom:
@@ -639,9 +741,9 @@ class IntegralEngine:
                 return out
         la, lb = bra.la, bra.lb
         lbra = la + lb
-        combos_b = hermite_combos(lbra)
-        e3b = _e3_components(bra.e_tensors(), la, lb, combos_b, weights=bra.cc)
-        out = self._coulomb_core(bra, ket, e3b[None, :, :, :], combos_b, lbra)[0]
+        e3b = _e3_components(bra.e_tensors(), la, lb, hermite_combos(lbra),
+                             weights=bra.cc)
+        out = self._coulomb_core(bra, ket, e3b[None, :, :, :], lbra)[0]
         return out.reshape(bra.npair, na, nb_, ket.npair, nc, nd)
 
     def coulomb_block_deriv(self, bra: PairBlock, ket: PairBlock) -> np.ndarray:
@@ -652,10 +754,10 @@ class IntegralEngine:
         """
         la, lb = bra.la, bra.lb
         lbra = la + lb + 1
-        combos_b = hermite_combos(lbra)
         exb = bra.e_tensors(da=1)
-        e3d = _e3_deriv_components(exb, bra.a, la, lb, combos_b, weights=bra.cc)
-        out = self._coulomb_core(bra, ket, e3d, combos_b, lbra)
+        e3d = _e3_deriv_components(exb, bra.a, la, lb, hermite_combos(lbra),
+                                   weights=bra.cc)
+        out = self._coulomb_core(bra, ket, e3d, lbra)
         na, nb_ = len(components(la)), len(components(lb))
         nc, nd = len(components(ket.la)), len(components(ket.lb))
         return out.reshape(3, bra.npair, na, nb_, ket.npair, nc, nd)
@@ -665,17 +767,24 @@ class IntegralEngine:
         bra: PairBlock,
         ket: PairBlock,
         e3b: np.ndarray,
-        combos_b: list[tuple[int, int, int]],
         lbra: int,
         ket_stack: np.ndarray | None = None,
         element_budget: int = 400_000,
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Shared Coulomb contraction over stacked bra E3 variants.
 
-        ``e3b`` has shape (nvariants, nprim_bra, nab, ncombos_b). Both
-        sides are chunked so the cross R tensor stays within the
-        element budget (times the Hermite component count). Returns
-        (nvariants, npair_bra, nab, npair_ket, ncd).
+        ``e3b`` has shape (nvariants, nprim_bra, nab, ncombos_b) over
+        ``hermite_combos(lbra)``. Both sides are chunked so the cross R
+        tensor stays within the element budget (times the Hermite
+        component count). Returns (nvariants, npair_bra, nab,
+        npair_ket, ncd).
+
+        Per chunk, R is built once in the compact layout, scaled by the
+        Coulomb prefactor, and gathered to the (bra combo, ket combo)
+        table. The contraction
+        ``xPiak,kmPiQj,Qjcm->xPaQc`` (bra pair P, its primitive i, ket
+        pair Q, its primitive j) sums both primitive axes inside its two
+        GEMMs, so no per-primitive value is ever formed.
 
         ``ket_stack`` optionally holds unsigned ket E3 variants
         (nvariants_k, nprim_ket, ncd, ncombos) over
@@ -688,74 +797,79 @@ class IntegralEngine:
         returns both.
         """
         lket = ket.la + ket.lb
-        combos_k = hermite_combos(lket)
         e3k = _e3_components(
-            ket.e_tensors(), ket.la, ket.lb, combos_k, sign=True, weights=ket.cc
+            ket.e_tensors(), ket.la, ket.lb, hermite_combos(lket), sign=True,
+            weights=ket.cc,
         )
-        nvar = e3b.shape[0]
-        nab = e3b.shape[2]
-        ncd = e3k.shape[1]
+        nvar, _, nab, ncb = e3b.shape
+        ncd, nck = e3k.shape[1:]
+        k2b, k2k = bra.k2, ket.k2
+        npk, nkp = ket.npair, ket.nprim
+        # GEMM operands: bra (P, x a, i k) and ket (Q, m j, c)
+        e3b = e3b.reshape(nvar, bra.npair, k2b, nab, ncb).transpose(
+            1, 0, 3, 2, 4).reshape(bra.npair, nvar * nab, k2b * ncb)
+        e3k = e3k.reshape(npk, k2k, ncd, nck).transpose(0, 3, 1, 2).reshape(
+            npk, nck * k2k, ncd)
         ltot = lbra + lket
-        ti, ui, vi = _combined_index(combos_b, combos_k)
-        out = np.zeros((nvar, bra.npair, nab, ket.npair, ncd))
+        gather = _combined_index(lbra, lket)
+        out = np.empty((nvar, bra.npair, nab, npk, ncd))
         if ket_stack is not None:
-            lb0 = bra.la + bra.lb
-            combos_b0 = hermite_combos(lb0)
-            combos_kd = hermite_combos(lket + 1)
+            lb0 = lbra - 1
             e3b0 = _e3_components(
-                bra.e_tensors(), bra.la, bra.lb, combos_b0, weights=bra.cc
+                bra.e_tensors(), bra.la, bra.lb, hermite_combos(lb0),
+                weights=bra.cc,
             )
-            parity = np.array([(-1.0) ** sum(c) for c in combos_kd])
-            e3kd = ket_stack * parity
-            tk, uk, vk = _combined_index(combos_b0, combos_kd)
-            nvk = e3kd.shape[0]
-            out_k = np.zeros((nvk, bra.npair, nab, ket.npair, ncd))
-        bchunk = max(1, element_budget // max(1, ket.nprim))
-        bchunk = max(bra.k2, (bchunk // bra.k2) * bra.k2)
-        npairs_per_chunk = max(1, bchunk // bra.k2)
+            ncb0 = e3b0.shape[2]
+            e3b0 = e3b0.reshape(bra.npair, k2b, nab, ncb0).transpose(
+                0, 2, 1, 3).reshape(bra.npair, nab, k2b * ncb0)
+            parity = np.array([(-1.0) ** sum(c)
+                               for c in hermite_combos(lket + 1)])
+            nvk, _, _, nckd = ket_stack.shape
+            e3kd = (ket_stack * parity).reshape(
+                nvk, npk, k2k, ncd, nckd).transpose(1, 4, 2, 0, 3).reshape(
+                npk, nckd * k2k, nvk * ncd)
+            gather_k = _combined_index(lb0, lket + 1)
+            out_k = np.empty((nvk, bra.npair, nab, npk, ncd))
+        bchunk = max(1, element_budget // max(1, nkp))
+        npairs_per_chunk = max(1, bchunk // k2b)
         for start in range(0, bra.npair, npairs_per_chunk):  # qf: shell-loop — chunked over the element budget; body vectorized
             stop = min(start + npairs_per_chunk, bra.npair)
-            bs = slice(start * bra.k2, stop * bra.k2)
-            nbp = (stop - start) * bra.k2
-            pb = bra.p[bs]
-            pk = ket.p
-            alpha = pb[:, None] * pk[None, :] / (pb[:, None] + pk[None, :])
-            pref = 2.0 * math.pi ** 2.5 / (
-                pb[:, None] * pk[None, :] * np.sqrt(pb[:, None] + pk[None, :])
-            )
+            npb = stop - start
+            nbp = npb * k2b
+            bs = slice(start * k2b, stop * k2b)
+            pb = bra.p[bs][:, None]
+            pk = ket.p[None, :]
+            alpha = pb * pk / (pb + pk)
+            pref = 2.0 * math.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk))
             pq = bra.pc[bs][:, None, :] - ket.pc[None, :, :]
-            r = hermite_coulomb_vec(
-                ltot, alpha.ravel(), pq.reshape(-1, 3)
-            ).reshape(nbp, ket.nprim, ltot + 1, ltot + 1, ltot + 1)
-            rsel = r[:, :, ti, ui, vi]  # (nbp, nkp, ncb, nck)
-            rsel *= pref[:, :, None, None]
-            # vals[var, bp, ab, kp, cd]
-            vals = np.einsum(
-                "xpak,pqkm,qcm->xpaqc", e3b[:, bs], rsel, e3k, optimize=True
-            )
-            # account the einsum as its two-GEMM decomposition: one
-            # batched GEMM over bra primitives, one over ket primitives
-            ncb = len(combos_b)
-            nck = len(combos_k)
-            self._record_class_gemm(nbp, nvar * nab, ket.nprim * nck, ncb)
-            self._record_class_gemm(ket.nprim, nvar * nbp * nab, ncd, nck)
-            out[:, start:stop] = vals.reshape(
-                nvar, stop - start, bra.k2, nab, ket.npair, ket.k2, ncd
-            ).sum(axis=(2, 5))
+            r = hermite_coulomb_vec(ltot, alpha.ravel(), pq.reshape(-1, 3))
+            # bra-primitive-major copy (P i, combo, Q j), scaled by pref:
+            # each gather below then copies whole (Q j) runs straight
+            # into its GEMM layout
+            rt = np.multiply(r.reshape(-1, nbp, nkp).transpose(1, 0, 2),
+                             pref[:, None, :], order="C")
+            del r
+            # (P, x a, i k) @ (P, i k, m Q j): bra primitives and combos
+            t1 = e3b[start:stop] @ rt.take(gather, axis=1).reshape(
+                npb, k2b * ncb, nck * nkp)
+            # (Q, P x a, m j) @ (Q, m j, c): ket primitives and combos
+            t1 = t1.reshape(npb * nvar * nab, nck, npk, k2k).transpose(
+                2, 0, 1, 3).reshape(npk, npb * nvar * nab, nck * k2k)
+            out[:, start:stop] = (t1 @ e3k).reshape(
+                npk, npb, nvar, nab, ncd).transpose(2, 1, 3, 0, 4)
+            self._record_class_gemm(npb, nvar * nab, nck * nkp, k2b * ncb)
+            self._record_class_gemm(npk, npb * nvar * nab, ncd, nck * k2k)
             if ket_stack is None:
                 continue
-            rsel = r[:, :, tk, uk, vk]  # (nbp, nkp, ncb0, nckd)
-            rsel *= pref[:, :, None, None]
-            vals = np.einsum(
-                "pak,pqkm,yqcm->ypaqc", e3b0[bs], rsel, e3kd, optimize=True
-            )
-            self._record_class_gemm(nbp, nab, ket.nprim * len(combos_kd),
-                                    len(combos_b0))
-            self._record_class_gemm(ket.nprim, nbp * nab, nvk * ncd,
-                                    len(combos_kd))
-            out_k[:, start:stop] = vals.reshape(
-                nvk, stop - start, bra.k2, nab, ket.npair, ket.k2, ncd
-            ).sum(axis=(2, 5))
+            # the (ket variant | plain bra) twin: Piak,kmPiQj,yQjcm->yPaQc
+            t1 = e3b0[start:stop] @ rt.take(gather_k, axis=1).reshape(
+                npb, k2b * ncb0, nckd * nkp)
+            t1 = t1.reshape(npb * nab, nckd, npk, k2k).transpose(
+                2, 0, 1, 3).reshape(npk, npb * nab, nckd * k2k)
+            out_k[:, start:stop] = (t1 @ e3kd).reshape(
+                npk, npb, nab, nvk, ncd).transpose(3, 1, 2, 0, 4)
+            self._record_class_gemm(npb, nab, nckd * nkp, k2b * ncb0)
+            self._record_class_gemm(npk, npb * nab, nvk * ncd, nckd * k2k)
         if ket_stack is None:
             return out
         return out, out_k
@@ -864,7 +978,7 @@ def _e3_deriv_components(
     exps_a: np.ndarray,
     la: int,
     lb: int,
-    combos: list[tuple[int, int, int]],
+    combos: tuple[tuple[int, int, int], ...],
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bra-center derivative E3 tensors.
@@ -916,7 +1030,7 @@ def _e3_deriv_components_b(
     exps_b: np.ndarray,
     la: int,
     lb: int,
-    combos: list[tuple[int, int, int]],
+    combos: tuple[tuple[int, int, int], ...],
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ket-center derivative E3 tensors (dE/dBx = 2b E(i,j+1,t) - j E(i,j-1,t)).
@@ -958,9 +1072,8 @@ def _e3_deriv_components_b(
     return out
 
 
-def _e3_deriv_ab_stack(blk: PairBlock
-                       ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """Fused d/dA, d/dB E3 stack of a pair block and its Hermite combos.
+def _e3_deriv_ab_stack(blk: PairBlock) -> np.ndarray:
+    """Fused d/dA, d/dB E3 stack of a pair block.
 
     Shape (6, nprim, nab, ncombos) over ``hermite_combos(la + lb + 1)``:
     variants 0-2 are d/dA{x,y,z}, 3-5 are d/dB{x,y,z}, contraction
@@ -973,7 +1086,7 @@ def _e3_deriv_ab_stack(blk: PairBlock
                                weights=blk.cc)
     e3b = _e3_deriv_components_b(ex, blk.b, blk.la, blk.lb, combos,
                                  weights=blk.cc)
-    return np.concatenate([e3a, e3b], axis=0), combos
+    return np.concatenate([e3a, e3b], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,46 +1202,45 @@ class _DerivMixin:
             combos = hermite_combos(l_tot)
             ex = blk.e_tensors(da=1)
             e3d = _e3_deriv_components(ex, blk.a, la, lb, combos, weights=blk.cc)
-            combos0 = [c for c in combos if sum(c) <= la + lb]
+            combos0 = hermite_combos(la + lb)
             e3p = _e3_components(
                 [e[:, : la + 1] for e in ex], la, lb, combos0, weights=blk.cc
             )
-            nprim = blk.nprim
+            npair, k2 = blk.npair, blk.k2
             pc = blk.pc[:, None, :] - self.coords[None, :, :]
             p_rep = np.repeat(blk.p, natm)
             # one extra index for both the bra-derivative (l_tot) and the
             # operator derivative (raised index on the plain combos)
             r = hermite_coulomb_vec(l_tot, p_rep, pc.reshape(-1, 3))
-            r = r.reshape(nprim, natm, l_tot + 1, l_tot + 1, l_tot + 1)
-            pref = 2.0 * math.pi / blk.p
+            r *= 2.0 * math.pi / p_rep
             na = len(components(la))
             nb = len(components(lb))
 
-            # bra-slot derivative
-            rsel = np.stack([r[:, :, t, u, v] for (t, u, v) in combos], axis=-1)
+            # bra-slot derivative, primitives folded into the contraction
+            contrib = np.einsum(
+                "dPick,kPia->dPac",
+                e3d.reshape(3, npair, k2, -1, len(combos)),
+                r.reshape(len(combos), npair, k2, natm), optimize=True,
+            )
+            total = -(contrib * self.charges[None, None, :, None]).sum(axis=2)
             for d in range(3):
-                contrib = np.einsum("nck,nak->nac", e3d[d], rsel) * pref[:, None, None]
-                contrib = contrib.reshape(blk.npair, blk.k2, natm, -1).sum(axis=1)
-                total = -(contrib * self.charges[None, :, None]).sum(axis=1)
-                scatter_ordered(dv_bra[d], blk, total.reshape(blk.npair, na, nb))
+                scatter_ordered(dv_bra[d], blk, total[d].reshape(npair, na, nb))
 
             # Hellmann-Feynman: d/dCx R_tuv(P - C) = -(-R_{t+1,u,v}) = R with
             # raised index and opposite sign of the P-derivative
+            rr = r[_raised_index(la + lb)]           # (3, ncombos0, nprim*natm)
+            contrib = np.einsum(
+                "Pick,dkPia->dPac",
+                e3p.reshape(npair, k2, -1, len(combos0)),
+                rr.reshape(3, len(combos0), npair, k2, natm), optimize=True,
+            )
             for d in range(3):
-                raised = []
-                for (t, u, v) in combos0:
-                    idx = [t, u, v]
-                    idx[d] += 1
-                    raised.append(r[:, :, idx[0], idx[1], idx[2]])
-                rr = np.stack(raised, axis=-1)
-                contrib = np.einsum("nck,nak->nac", e3p, rr) * pref[:, None, None]
-                contrib = contrib.reshape(blk.npair, blk.k2, natm, -1).sum(axis=1)
                 for c in range(natm):
                     # V = -Z (ab|C); d/dC = -Z * (+R_{raised}) ... sign: the
                     # R tensor is built on (P - C), so d/dCx = -d/d(PC)_x,
                     # and d/d(PC)_x R_tuv = R_{t+1,u,v}. Hence total sign +Z.
-                    vals = self.charges[c] * contrib[:, c, :].reshape(
-                        blk.npair, na, nb
+                    vals = self.charges[c] * contrib[d, :, c, :].reshape(
+                        npair, na, nb
                     )
                     scatter_ordered(dv_nuc[d, c], blk, vals)
         return dv_bra, dv_nuc
@@ -1137,7 +1249,7 @@ class _DerivMixin:
         self,
         bra: PairBlock,
         ket: PairBlock,
-        stack: tuple[np.ndarray, list[tuple[int, int, int]]],
+        stack: np.ndarray,
     ) -> np.ndarray:
         """Both bra-slot derivatives in one pass (shared R tensor).
 
@@ -1148,8 +1260,7 @@ class _DerivMixin:
         ordered-pair derivative builds because the Hermite Coulomb tensor —
         the dominant term — is computed once.
         """
-        e3, combos_b = stack
-        out = self._coulomb_core(bra, ket, e3, combos_b, bra.la + bra.lb + 1)
+        out = self._coulomb_core(bra, ket, stack, bra.la + bra.lb + 1)
         na, nb_ = len(components(bra.la)), len(components(bra.lb))
         nc, nd = len(components(ket.la)), len(components(ket.lb))
         return out.reshape(6, bra.npair, na, nb_, ket.npair, nc, nd)
@@ -1204,7 +1315,7 @@ class _DerivMixin:
         blocks = self.blocks
         stacks = [_e3_deriv_ab_stack(blk) for blk in blocks]
         for bi, bra in enumerate(blocks):  # qf: shell-loop — one iteration per unordered class-block pair; body vectorized
-            stack_b, combos_b = stacks[bi]
+            stack_b = stacks[bi]
             lbra = bra.la + bra.lb + 1
             for ki in range(bi, len(blocks)):  # qf: shell-loop — one iteration per unordered class-block pair; body vectorized
                 ket = blocks[ki]
@@ -1213,11 +1324,11 @@ class _DerivMixin:
                          len(components(ket.la)), len(components(ket.lb)))
                 if ki == bi:
                     # (bra|bra) already covers every ordered pair combination
-                    vals = self._coulomb_core(bra, ket, stack_b, combos_b, lbra)
+                    vals = self._coulomb_core(bra, ket, stack_b, lbra)
                     scatter_eri_deriv_ab(out, bra, ket, vals.reshape(shape))
                     continue
-                vals, vals_k = self._coulomb_core(bra, ket, stack_b, combos_b,
-                                                  lbra, ket_stack=stacks[ki][0])
+                vals, vals_k = self._coulomb_core(bra, ket, stack_b, lbra,
+                                                  ket_stack=stacks[ki])
                 scatter_eri_deriv_ab(out, bra, ket, vals.reshape(shape))
                 # (6, bra pair, ab, ket pair, cd) -> ket-major for (ket|bra)
                 scatter_eri_deriv_ab(

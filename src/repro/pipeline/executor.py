@@ -171,10 +171,17 @@ class ThroughputReport:
         }
 
     def summary(self) -> str:
+        """One line: accepted of submitted fragments (and the skipped
+        count, when a skip-and-report run dropped any), wall time, and
+        the throughput of accepted fragments."""
+        skipped = len((self.resilience or {}).get("skipped", ()))
+        accepted = self.n_tasks - skipped
+        skip_note = f" ({skipped} skipped)" if skipped else ""
         return (
-            f"{self.backend}[{self.max_workers}]: {self.n_tasks} fragments "
-            f"in {self.wall_s:.2f}s ({self.fragments_per_s:.3f} frag/s, "
-            f"utilization {100.0 * self.worker_utilization:.0f}%)"
+            f"{self.backend}[{self.max_workers}]: {accepted} of "
+            f"{self.n_tasks} fragments accepted{skip_note} in "
+            f"{self.wall_s:.2f}s ({self.fragments_per_s:.3f} accepted "
+            f"frag/s, utilization {100.0 * self.worker_utilization:.0f}%)"
         )
 
 

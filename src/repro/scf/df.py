@@ -123,6 +123,10 @@ class DensityFitting:
         self.b = scipy.linalg.solve_triangular(
             chol, flat.T, lower=True
         ).T.reshape(nbf, nbf, self.naux)
+        #: b in the (a P, b) layout, built once: the GEMM operand of
+        #: both exchange builds
+        self.b_apb = np.ascontiguousarray(
+            self.b.transpose(0, 2, 1)).reshape(nbf * self.naux, nbf)
 
     # -- integral builds ------------------------------------------------------
 
@@ -186,8 +190,7 @@ class DensityFitting:
         nbf = self.b.shape[0]
         nocc = c_occ.shape[1]
         # (a, P, b) @ (b, i) -> (a, P, i)
-        t = (self.b.transpose(0, 2, 1).reshape(nbf * self.naux, nbf) @ c_occ)
-        t = t.reshape(nbf, self.naux * nocc)
+        t = (self.b_apb @ c_occ).reshape(nbf, self.naux * nocc)
         return 2.0 * t @ t.T
 
     def exchange_density(self, density: np.ndarray) -> np.ndarray:
@@ -198,11 +201,9 @@ class DensityFitting:
         :meth:`exchange` when occupied orbitals are available.
         """
         nbf = self.b.shape[0]
-        # t_{aP,d} = sum_c b_{acP} P_cd
-        t = (self.b.transpose(0, 2, 1).reshape(nbf * self.naux, nbf) @ density)
-        t = t.reshape(nbf, self.naux, nbf)
-        bt = self.b.transpose(0, 2, 1)  # (b, P, d)
-        return np.tensordot(t, bt, axes=([1, 2], [1, 2]))
+        # t_{aP,d} = sum_c b_{acP} P_cd, then K_ab = sum_{Pd} t_{aPd} b_{bdP}
+        t = (self.b_apb @ density).reshape(nbf, self.naux * nbf)
+        return t @ self.b_apb.reshape(nbf, self.naux * nbf).T
 
     def eri_approx(self) -> np.ndarray:
         """Materialize the DF-approximated (ab|cd) tensor (tests only)."""

@@ -89,19 +89,21 @@ def lanczos(
 
     alphas: list[float] = []
     betas: list[float] = []
-    basis = [q]
+    # row j is q_j; filled in place, never rebuilt
+    basis = np.empty((k + 1, n))
+    basis[0] = q
     q_prev = np.zeros_like(q)
     beta_prev = 0.0
     breakdown = False
     with get_tracer().span("lanczos", n=n, k=k) as sp:
-        for _ in range(k):
+        for j in range(k):
             w = matvec(q)
             a = float(q @ w)
             alphas.append(a)
             w = w - a * q - beta_prev * q_prev
             if reorthogonalize:
                 # two passes of classical Gram-Schmidt ("twice is enough")
-                qs = np.array(basis)
+                qs = basis[: j + 1]
                 for _pass in range(2):
                     w = w - qs.T @ (qs @ w)
             b = float(np.linalg.norm(w))
@@ -111,7 +113,7 @@ def lanczos(
                 break
             q_prev, q = q, w / b
             beta_prev = b
-            basis.append(q)
+            basis[j + 1] = q
         sp.set(steps=len(alphas), breakdown=breakdown)
     counters().inc("lanczos.matvecs", len(alphas))
 
@@ -126,7 +128,7 @@ def lanczos(
     return LanczosResult(
         alpha=alpha_arr,
         beta=beta_arr,
-        q=np.array(basis[: len(alphas)]).T if keep_basis else None,
+        q=basis[: len(alphas)].T if keep_basis else None,
         d_norm=d_norm,
         breakdown=breakdown,
     )

@@ -8,11 +8,17 @@ from repro.geometry import water_molecule
 from repro.geometry.atoms import Geometry
 from tests.integrals import mcmurchie as mm
 from repro.integrals.engine import (
+    BOYS_NMAX,
+    BOYS_STEP,
+    BOYS_TMAX,
     IntegralEngine,
+    boys_closed_form,
     boys_vec,
     components,
     e_coeffs_1d,
+    hermite_combos,
     hermite_coulomb_vec,
+    ncombos,
     single_shell_blocks,
 )
 
@@ -37,6 +43,30 @@ def test_boys_vec_matches_scalar():
     for i, tv in enumerate(t):
         for n in range(5):
             assert f[i, n] == pytest.approx(mm.boys(n, tv), rel=1e-11)
+
+
+def test_boys_table_matches_closed_form():
+    """The tabulated Boys function against the incomplete-gamma closed
+    form at every knot, every midpoint (the farthest point from a
+    knot), both sides of the table/upward-recursion crossover and the
+    edge arguments, for every order 0..12 as the top order."""
+    knots = np.arange(int(round(BOYS_TMAX / BOYS_STEP)) + 1) * BOYS_STEP
+    t = np.concatenate([
+        knots, knots[:-1] + 0.5 * BOYS_STEP,
+        [0.0, 1e-14, BOYS_TMAX * (1 - 1e-12), BOYS_TMAX,
+         BOYS_TMAX * (1 + 1e-12), 150.0],
+    ])
+    for nmax in range(13):
+        f = boys_vec(nmax, t)
+        for n in range(nmax + 1):
+            ref = boys_closed_form(n, t)
+            np.testing.assert_array_less(np.abs(f[:, n] - ref),
+                                         1e-13 * ref + 1e-300)
+
+
+def test_boys_order_above_table_rejected():
+    with pytest.raises(ValueError):
+        boys_vec(BOYS_NMAX + 1, np.array([1.0]))
 
 
 def test_e_coeffs_match_scalar():
@@ -70,26 +100,20 @@ def test_e_coeffs_zero_exponent_partner():
 
 
 def test_hermite_coulomb_matches_scalar():
-    """For each total order ``lmax``, every entry with t+u+v <= lmax
-    matches the scalar recursion and every entry above it is exactly
-    zero."""
+    """For each total order ``lmax``, the compact array holds one row
+    per (t, u, v) with t+u+v <= lmax, in ``hermite_combos`` order, and
+    every row matches the scalar recursion."""
     rng = np.random.default_rng(3)
     p = rng.uniform(0.3, 4.0, size=5)
     pq = rng.uniform(-1.5, 1.5, size=(5, 3))
     for lmax in range(7):
         r = hermite_coulomb_vec(lmax, p, pq)
-        assert r.shape == (5, lmax + 1, lmax + 1, lmax + 1)
-        t, u, v = np.indices((lmax + 1,) * 3)
-        assert not np.any(r[:, t + u + v > lmax])
+        assert r.shape == (ncombos(lmax), 5)
         for n in range(5):
             memo: dict = {}
-            for t in range(lmax + 1):
-                for u in range(lmax + 1 - t):
-                    for v in range(lmax + 1 - t - u):
-                        ref = mm.hermite_r(t, u, v, p[n], pq[n], memo)
-                        assert r[n, t, u, v] == pytest.approx(
-                            ref, rel=1e-10, abs=1e-12
-                        )
+            for row, (t, u, v) in enumerate(hermite_combos(lmax)):
+                ref = mm.hermite_r(t, u, v, p[n], pq[n], memo)
+                assert r[row, n] == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
 def test_one_electron_vs_scalar(water_engine):

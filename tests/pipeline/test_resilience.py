@@ -267,6 +267,23 @@ def test_exhausted_retries_skip_and_report(reference, monkeypatch):
     assert res["skipped"][0]["errors"]
 
 
+def test_skip_and_report_summary_counts_accepted(monkeypatch):
+    """The summary line reports accepted of submitted fragments and the
+    skip, beside a throughput of accepted fragments only."""
+    monkeypatch.setenv("QF_FAULTS", "crash:a@*")
+    policy = ResiliencePolicy(max_attempts=1, failure_policy=SKIP_AND_REPORT)
+    with make_executor("serial", policy=policy) as ex:
+        _, report = ex.run(_tasks())
+    line = report.summary()
+    assert line.startswith("serial[1]: 1 of 2 fragments accepted "
+                           "(1 skipped) in ")
+    assert f"({report.fragments_per_s:.3f} accepted frag/s" in line
+    assert report.fragments_per_s == pytest.approx(1 / report.wall_s)
+    clean = replace(report, resilience=None)
+    assert "(1 skipped)" not in clean.summary()
+    assert "2 of 2 fragments accepted in " in clean.summary()
+
+
 def test_skip_and_report_under_pool_base(reference, monkeypatch):
     monkeypatch.setenv("QF_FAULTS", "crash:b@*")
     policy = ResiliencePolicy(max_attempts=2, backoff_s=0.0,
