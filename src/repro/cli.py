@@ -9,8 +9,8 @@ reproducible without writing a script:
     python -m repro counts
     python -m repro devtools lint src/
 
-``--sanitize`` on the pipeline commands turns on the runtime numerical
-sanitizer (equivalent to ``QF_SANITIZE=1``; see
+``QF_SANITIZE=1`` in the environment turns on the runtime numerical
+sanitizer for any command, pool workers included (see
 :mod:`repro.devtools.contracts` and docs/static_analysis.md).
 """
 
@@ -21,13 +21,6 @@ import os
 import sys
 
 import numpy as np
-
-
-def _apply_sanitize(args) -> None:
-    """Honor --sanitize by exporting QF_SANITIZE for this process *and*
-    any executor pool workers (which inherit the environment)."""
-    if getattr(args, "sanitize", False):
-        os.environ["QF_SANITIZE"] = "1"
 
 
 def _apply_resilience(args):
@@ -151,7 +144,6 @@ def _cmd_water_raman(args) -> int:
     from repro.geometry import water_box
     from repro.pipeline import QFRamanPipeline
 
-    _apply_sanitize(args)
     resilience_kwargs = _apply_resilience(args)
     tracer = _setup_obs(args)
     pipe = QFRamanPipeline(
@@ -195,7 +187,6 @@ def _cmd_peptide_raman(args) -> int:
     from repro.pipeline import QFRamanPipeline
     from repro.scf.optimize import optimize_geometry
 
-    _apply_sanitize(args)
     resilience_kwargs = _apply_resilience(args)
     tracer = _setup_obs(args)
     geom, residues = build_polypeptide(args.sequence)
@@ -324,11 +315,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument(
             "--workers", type=int, default=None,
             help="worker processes for parallel backends (default: cpu count)",
-        )
-        p.add_argument(
-            "--sanitize", action="store_true",
-            help="enable the runtime numerical sanitizer "
-                 "(= QF_SANITIZE=1; see docs/static_analysis.md)",
         )
         p.add_argument(
             "--trace", default=None, metavar="FILE",

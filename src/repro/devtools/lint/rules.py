@@ -49,10 +49,10 @@ QF009 shell-loop         A python-level ``for`` loop over shells /
                          Per-pair python is the overhead the batched
                          kernel layer (``repro.integrals.batched``)
                          exists to remove; new hot-path loops belong
-                         there as array operations. Sanctioned scalar
-                         drivers (the McMurchie reference path, scalar
-                         scatter fallbacks, ordered-write scatters)
-                         are annotated ``# qf: shell-loop``.
+                         there as array operations. Sanctioned loops
+                         (element-budget chunks, class-block loops with
+                         vectorized bodies, O(nshells) prepasses) are
+                         annotated ``# qf: shell-loop``.
 """
 
 from __future__ import annotations

@@ -9,15 +9,16 @@ python-level loops over *pairs* around those einsums:
   primitive arrays with numpy gathers, without a per-pair python loop.
 * :func:`scatter_symmetric` / :func:`scatter_ordered` /
   :func:`scatter_pairs_aux` / :func:`scatter_pairs_2c` /
-  :func:`scatter_eri_deriv_ab` — precomputed flat-index scatter plans
-  (cached per block) that place per-pair value blocks into matrices.
-  The fused-derivative scatters (``scatter_pairs_aux`` with a d/dB
-  slab, ``scatter_eri_deriv_ab``) mask their transpose images to
-  off-diagonal pairs so every write lands on a distinct element.
-  Only scatters whose write sets are duplicate-free are vectorized; the
-  8-fold ERI image scatter and the DF metric scatter keep their
-  sequential loops because their overlapping writes rely on
-  last-write-wins ordering (see ``IntegralEngine._scatter_eri``).
+  :func:`scatter_eri_deriv_ab` / :func:`scatter_eri` /
+  :func:`scatter_metric` — flat-index scatter plans that place
+  per-pair value blocks into matrices. The fused-derivative scatters
+  (``scatter_pairs_aux`` with a d/dB slab, ``scatter_eri_deriv_ab``)
+  mask their transpose images to off-diagonal pairs so every write
+  lands on a distinct element. The 8-fold ERI image scatter and the
+  DF metric scatter have overlapping images; their plans list every
+  write in loop order and keep the last one per target
+  (:func:`_write_last`), never relying on numpy's unspecified order
+  for duplicate fancy-index writes.
 
 Every function here is bit-identical to the per-pair loop it replaces:
 the loops live on as the test oracle in ``tests/integrals/oracle.py``.
@@ -42,6 +43,8 @@ __all__ = [
     "scatter_pairs_aux",
     "scatter_pairs_2c",
     "scatter_eri_deriv_ab",
+    "scatter_eri",
+    "scatter_metric",
 ]
 
 
@@ -183,8 +186,10 @@ def build_pair_blocks(
 #
 # A scatter plan is the flat-index image of one block's (npair, na, nb)
 # value tensor in an (nbf, nbf) target. Plans depend only on the block
-# and the target width, so they are computed once and stashed on the
-# block (PairBlock is a plain dataclass; the cache dies with the block).
+# and the target width. Plans read more than once per engine are
+# stashed on the block (PairBlock is a plain dataclass; the cache dies
+# with the block); the ERI, ERI-derivative and DF metric plans are read
+# once per engine and are built per call.
 
 def _plan_symmetric(blk, na: int, nb: int, nbf: int):
     cache = getattr(blk, "_scatter_plans", None)
@@ -314,37 +319,80 @@ def scatter_eri_deriv_ab(target: np.ndarray, bra, ket,
     """
     na, nb, nc, nd = vals.shape[2], vals.shape[3], vals.shape[5], vals.shape[6]
     nbf = target.shape[1]
-    cache = getattr(bra, "_scatter_plans", None)
-    if cache is None:
-        cache = bra._scatter_plans = {}
-    key = ("erid", id(ket), na, nb, nc, nd, nbf)
-    plan = cache.get(key)
-    if plan is None:
-        full = (bra.npair, na, nb, ket.npair, nc, nd)
-        m = (bra.off_a[:, None] + np.arange(na))[:, :, None, None, None, None]
-        n = (bra.off_b[:, None] + np.arange(nb))[:, None, :, None, None, None]
-        l = (ket.off_a[:, None] + np.arange(nc))[None, None, None, :, :, None]
-        s = (ket.off_b[:, None] + np.arange(nd))[None, None, None, :, None, :]
-        off_b = bra.off_a != bra.off_b
-        off_k = ket.off_a != ket.off_b
-        slab = nbf ** 4 * np.arange(3)[:, None]
+    full = (bra.npair, na, nb, ket.npair, nc, nd)
+    m = (bra.off_a[:, None] + np.arange(na))[:, :, None, None, None, None]
+    n = (bra.off_b[:, None] + np.arange(nb))[:, None, :, None, None, None]
+    l = (ket.off_a[:, None] + np.arange(nc))[None, None, None, :, :, None]
+    s = (ket.off_b[:, None] + np.arange(nd))[None, None, None, :, None, :]
+    off_b = bra.off_a != bra.off_b
+    off_k = ket.off_a != ket.off_b
+    slab = nbf ** 4 * np.arange(3)[:, None]
+    every = slice(None)
 
-        every = slice(None)
+    def image(i, j, k, q, bra_mask, ket_mask):
+        # flat (3, nbf, nbf, nbf, nbf) index of [x, i, j, k, q] laid out
+        # like vals, restricted to the masked pairs
+        flat = np.broadcast_to(((i * nbf + j) * nbf + k) * nbf + q, full)
+        return slab + flat[bra_mask][:, :, :, ket_mask].ravel()[None, :]
 
-        def image(i, j, k, q, bra_mask, ket_mask):
-            # flat (3, nbf, nbf, nbf, nbf) index of [x, i, j, k, q] laid out
-            # like vals, restricted to the masked pairs
-            flat = np.broadcast_to(((i * nbf + j) * nbf + k) * nbf + q, full)
-            return slab + flat[bra_mask][:, :, :, ket_mask].ravel()[None, :]
-
-        plan = (off_b, off_k,
-                image(m, n, l, s, every, every), image(m, n, s, l, every, off_k),
-                image(n, m, l, s, off_b, every), image(n, m, s, l, off_b, off_k))
-        cache[key] = plan
-    off_b, off_k, f_a, f_at, f_b, f_bt = plan
     out = target.reshape(-1)
     d_a, d_b = vals[:3], vals[3:, off_b]
-    out[f_a] = d_a.reshape(3, -1)
-    out[f_at] = d_a[:, :, :, :, off_k].reshape(3, -1)
-    out[f_b] = d_b.reshape(3, -1)
-    out[f_bt] = d_b[:, :, :, :, off_k].reshape(3, -1)
+    out[image(m, n, l, s, every, every)] = d_a.reshape(3, -1)
+    out[image(m, n, s, l, every, off_k)] = d_a[:, :, :, :, off_k].reshape(3, -1)
+    out[image(n, m, l, s, off_b, every)] = d_b.reshape(3, -1)
+    out[image(n, m, s, l, off_b, off_k)] = d_b[:, :, :, :, off_k].reshape(3, -1)
+
+
+def _write_last(target: np.ndarray, writes: np.ndarray, sources,
+                vals: np.ndarray) -> None:
+    """Replay overlapping writes: ``writes`` lists every write's flat
+    target index in write order and ``sources`` (broadcast against it)
+    the flat index of its value in ``vals``. Each distinct target keeps
+    its last write, as in a sequential loop, so one duplicate-free
+    fancy assignment replays the loop exactly.
+    """
+    flat, last = np.unique(writes.ravel()[::-1], return_index=True)
+    pick = np.broadcast_to(sources, writes.shape).ravel()[::-1][last]
+    target.reshape(-1)[flat] = vals.reshape(-1)[pick]
+
+
+def scatter_eri(target: np.ndarray, bra, ket, vals: np.ndarray) -> None:
+    """Scatter (npb, na, nb, npk, nc, nd) ERI values into the
+    (nbf, nbf, nbf, nbf) tensor with all eight permutational images.
+
+    The writes follow the per-pair loop: bra pair, ket pair, then the
+    images [m,n,l,s], [l,s,m,n], [m,n,s,l], [s,l,m,n], [n,m,l,s],
+    [l,s,n,m], [n,m,s,l], [s,l,n,m]. Images coincide for diagonal pairs
+    and on the bra==ket block diagonal; the last write wins.
+    """
+    nbf = target.shape[1]
+    _, na, nb, _, nc, nd = vals.shape
+    # write axes: (bra pair, ket pair, image, a, b, c, d)
+    m = (bra.off_a[:, None] + np.arange(na))[:, None, :, None, None, None]
+    n = (bra.off_b[:, None] + np.arange(nb))[:, None, None, :, None, None]
+    l = (ket.off_a[:, None] + np.arange(nc))[None, :, None, None, :, None]
+    s = (ket.off_b[:, None] + np.arange(nd))[None, :, None, None, None, :]
+    mn, nm, ls, sl = m * nbf + n, n * nbf + m, l * nbf + s, s * nbf + l
+    images = [(mn, ls), (ls, mn), (mn, sl), (sl, mn),
+              (nm, ls), (ls, nm), (nm, sl), (sl, nm)]
+    writes = np.stack(np.broadcast_arrays(
+        *(i * nbf * nbf + j for i, j in images)), axis=2)
+    src = np.arange(vals.size).reshape(vals.shape).transpose(0, 3, 1, 2, 4, 5)
+    _write_last(target, writes, src[:, :, None], vals)
+
+
+def scatter_metric(target: np.ndarray, bra, ket, vals: np.ndarray) -> None:
+    """Scatter (npb, na, npk, nc) aux-pair values into the symmetric
+    (naux, naux) DF metric at (P, Q) and (Q, P).
+
+    The writes follow the per-pair loop (bra pair, ket pair, (P, Q)
+    before (Q, P)); on the bra==ket block diagonal both orders of a
+    pair hit the same elements, and the last write wins.
+    """
+    naux = target.shape[1]
+    # write axes: (bra pair, ket pair, image, a, c)
+    p = (bra.off_a[:, None] + np.arange(vals.shape[1]))[:, None, :, None]
+    q = (ket.off_a[:, None] + np.arange(vals.shape[3]))[None, :, None, :]
+    writes = np.stack(np.broadcast_arrays(p * naux + q, q * naux + p), axis=2)
+    src = np.arange(vals.size).reshape(vals.shape).transpose(0, 2, 1, 3)
+    _write_last(target, writes, src[:, :, None], vals)

@@ -35,6 +35,7 @@ from scipy.special import gammainc, gammaln
 from repro.basis.gaussian import BasisSet, Shell
 from repro.integrals.batched import (
     build_pair_blocks,
+    scatter_eri,
     scatter_eri_deriv_ab,
     scatter_ordered,
     scatter_pairs_2c,
@@ -895,37 +896,8 @@ class IntegralEngine:
                         continue
                     vals = self.coulomb_block(bra, ket, q_bra=bounds[bi],
                                               q_ket=bounds[ki])
-                    self._scatter_eri(out, bra, ket, vals)
+                    scatter_eri(out, bra, ket, vals)
         return out
-
-    def _scatter_eri(self, out, bra: PairBlock, ket: PairBlock, vals) -> None:
-        # Deliberately a python loop: the 8-fold symmetry images overlap
-        # whenever a pair repeats across the bra/ket block combination
-        # (e.g. the bra==ket diagonal), and the result relies on this
-        # loop's last-write-wins order. numpy fancy assignment leaves the
-        # duplicate-index write order undefined, so a flat-plan scatter
-        # here could silently differ between numpy builds.
-        na, nb = vals.shape[1], vals.shape[2]
-        nc, nd = vals.shape[4], vals.shape[5]
-        for rb in range(bra.npair):  # qf: shell-loop — overlapping-image scatter needs ordered writes
-            oa, ob = bra.off_a[rb], bra.off_b[rb]
-            for rk in range(ket.npair):  # qf: shell-loop — overlapping-image scatter needs ordered writes
-                oc, od = ket.off_a[rk], ket.off_b[rk]
-                blockv = vals[rb, :, :, rk, :, :]
-                for (i0, j0, v4) in (
-                    (oa, ob, blockv),
-                    (ob, oa, blockv.transpose(1, 0, 2, 3)),
-                ):
-                    for (k0, l0, v2) in (
-                        (oc, od, v4),
-                        (od, oc, v4.transpose(0, 1, 3, 2)),
-                    ):
-                        out[i0: i0 + v2.shape[0], j0: j0 + v2.shape[1],
-                            k0: k0 + v2.shape[2], l0: l0 + v2.shape[3]] = v2
-                        out[k0: k0 + v2.shape[2], l0: l0 + v2.shape[3],
-                            i0: i0 + v2.shape[0], j0: j0 + v2.shape[1]] = (
-                            v2.transpose(2, 3, 0, 1)
-                        )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from repro.basis.gaussian import BasisSet, make_shell
 from repro.geometry.atoms import Geometry
-from repro.integrals.batched import scatter_pairs_aux
+from repro.integrals.batched import scatter_metric, scatter_pairs_aux
 from repro.integrals.engine import IntegralEngine, single_shell_blocks
 
 
@@ -151,26 +151,11 @@ class DensityFitting:
         return out
 
     def _build_2c(self) -> np.ndarray:
-        # Deliberately a python loop: on the bra==ket diagonal both
-        # (rb, rk) and (rk, rb) write the same (P, Q) and (Q, P) entries,
-        # so the result depends on this loop's last-write-wins order — a
-        # vectorized fancy-index scatter would leave the duplicate order
-        # undefined.
         out = np.zeros((self.naux, self.naux))
         for i, bra in enumerate(self.aux_blocks):
-            for j, ket in enumerate(self.aux_blocks):
-                if j < i:
-                    continue
+            for ket in self.aux_blocks[i:]:
                 vals = self.engine.coulomb_block(bra, ket)
-                na = vals.shape[1]
-                nc = vals.shape[4]
-                for rb in range(bra.npair):  # qf: shell-loop — overlapping-image scatter needs ordered writes
-                    oa = bra.off_a[rb]
-                    for rk in range(ket.npair):
-                        oc = ket.off_a[rk]
-                        blockv = vals[rb, :, 0, rk, :, 0]
-                        out[oa: oa + na, oc: oc + nc] = blockv
-                        out[oc: oc + nc, oa: oa + na] = blockv.T
+                scatter_metric(out, bra, ket, vals[:, :, 0, :, :, 0])
         return out
 
     # -- Fock builds ----------------------------------------------------------

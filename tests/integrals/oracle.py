@@ -171,6 +171,47 @@ def scatter_eri_deriv_ab(target, bra, ket, vals) -> None:
                            od: od + nd, oc: oc + nc] = v.transpose(0, 1, 2, 4, 3)
 
 
+def scatter_eri(target, bra, ket, vals) -> None:
+    """(npb, na, nb, npk, nc, nd) ERI values into (nbf, nbf, nbf, nbf),
+    all eight permutational images; coinciding images keep the last
+    write of this loop."""
+    na, nb = vals.shape[1], vals.shape[2]
+    nc, nd = vals.shape[4], vals.shape[5]
+    for rb in range(bra.npair):
+        oa, ob = bra.off_a[rb], bra.off_b[rb]
+        for rk in range(ket.npair):
+            oc, od = ket.off_a[rk], ket.off_b[rk]
+            blockv = vals[rb, :, :, rk, :, :]
+            for (i0, j0, v4) in (
+                (oa, ob, blockv),
+                (ob, oa, blockv.transpose(1, 0, 2, 3)),
+            ):
+                for (k0, l0, v2) in (
+                    (oc, od, v4),
+                    (od, oc, v4.transpose(0, 1, 3, 2)),
+                ):
+                    target[i0: i0 + v2.shape[0], j0: j0 + v2.shape[1],
+                           k0: k0 + v2.shape[2], l0: l0 + v2.shape[3]] = v2
+                    target[k0: k0 + v2.shape[2], l0: l0 + v2.shape[3],
+                           i0: i0 + v2.shape[0], j0: j0 + v2.shape[1]] = (
+                        v2.transpose(2, 3, 0, 1)
+                    )
+
+
+def scatter_metric(target, bra, ket, vals) -> None:
+    """(npb, na, npk, nc) aux-pair values into the symmetric (naux, naux)
+    DF metric; on the bra==ket diagonal the last write of this loop
+    wins."""
+    na, nc = vals.shape[1], vals.shape[3]
+    for rb in range(bra.npair):
+        oa = bra.off_a[rb]
+        for rk in range(ket.npair):
+            oc = ket.off_a[rk]
+            blockv = vals[rb, :, rk, :]
+            target[oa: oa + na, oc: oc + nc] = blockv
+            target[oc: oc + nc, oa: oa + na] = blockv.T
+
+
 def eri_deriv_ordered(engine) -> np.ndarray:
     """Value oracle for :meth:`IntegralEngine.eri_deriv`.
 
@@ -209,7 +250,9 @@ _SWAPS = (
     (engine_module, "scatter_pairs_aux", scatter_pairs_aux),
     (engine_module, "scatter_pairs_2c", scatter_pairs_2c),
     (engine_module, "scatter_eri_deriv_ab", scatter_eri_deriv_ab),
+    (engine_module, "scatter_eri", scatter_eri),
     (df_module, "scatter_pairs_aux", scatter_pairs_aux),
+    (df_module, "scatter_metric", scatter_metric),
 )
 
 

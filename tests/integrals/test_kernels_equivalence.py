@@ -115,13 +115,17 @@ def _df_tensors(w, basis, aux):
     }
 
 
-def test_df_tensors_bit_identical():
-    w = water_molecule()
-    basis = build_basis(w, name="sto-3g")
-    aux = auto_aux_basis(w, basis)
-    got = _df_tensors(w, basis, aux)
+@pytest.mark.parametrize("geom", [water_molecule(), _two_p_centers()],
+                         ids=["water", "two_p_centers"])
+def test_df_tensors_bit_identical(geom):
+    """Two centers give the DF metric bra==ket aux blocks with several p
+    and d shells, whose overlapping (P, Q)/(Q, P) images the plan must
+    resolve as the loop does."""
+    basis = build_basis(geom, name="sto-3g")
+    aux = auto_aux_basis(geom, basis)
+    got = _df_tensors(geom, basis, aux)
     with oracle.oracle_dispatch():
-        ref = _df_tensors(w, basis, aux)
+        ref = _df_tensors(geom, basis, aux)
     for name in ref:
         np.testing.assert_array_equal(got[name], ref[name], err_msg=name)
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -90,3 +91,60 @@ def test_requires_subcommand():
 def test_unknown_subcommand():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_executor_and_resilience_flags_parse_and_forward(monkeypatch):
+    """The executor and resilience flags of ``water-raman`` reach the
+    pipeline: backend and worker count as ``executor``/``max_workers``,
+    the retry flags as one ``ResiliencePolicy``, and ``--inject-faults``
+    as ``QF_FAULTS`` for this process and its pool workers."""
+    import repro.pipeline
+    from repro.pipeline.resilience import ResiliencePolicy
+
+    class Captured(Exception):
+        pass
+
+    def fake_pipeline(**kwargs):
+        raise Captured(kwargs)
+
+    monkeypatch.setattr(repro.pipeline, "QFRamanPipeline", fake_pipeline)
+    # restored at teardown: main() exports the fault plan itself
+    monkeypatch.setenv("QF_FAULTS", "")
+
+    spec = "crash:water[0]@*;hang:ww[0,1]@1:0.5"
+    with pytest.raises(Captured) as info:
+        main(["water-raman", "--n", "1", "--executor", "process",
+              "--workers", "2", "--retries", "4", "--timeout-s", "60",
+              "--failure-policy", "skip_and_report",
+              "--inject-faults", spec])
+    kwargs = info.value.args[0]
+    assert kwargs["executor"] == "process"
+    assert kwargs["max_workers"] == 2
+    assert kwargs["resilience"] == ResiliencePolicy(
+        max_attempts=5, timeout_s=60.0, failure_policy="skip_and_report")
+    assert os.environ["QF_FAULTS"] == spec
+
+    # a timeout alone implies two retries and fail-fast
+    with pytest.raises(Captured) as info:
+        main(["water-raman", "--n", "1", "--executor", "displacement",
+              "--timeout-s", "5"])
+    kwargs = info.value.args[0]
+    assert kwargs["executor"] == "displacement"
+    assert kwargs["max_workers"] is None
+    assert kwargs["resilience"] == ResiliencePolicy(
+        max_attempts=3, timeout_s=5.0, failure_policy="fail_fast")
+
+    # no resilience flag: no policy, the executor's default applies
+    with pytest.raises(Captured) as info:
+        main(["water-raman", "--n", "1"])
+    kwargs = info.value.args[0]
+    assert kwargs["executor"] == "serial"
+    assert "resilience" not in kwargs
+
+    # a malformed fault plan fails before any pipeline is built
+    with pytest.raises(ValueError):
+        main(["water-raman", "--n", "1", "--inject-faults", "explode:x"])
+
+    # --sanitize is gone; the sanitizer is QF_SANITIZE=1
+    with pytest.raises(SystemExit):
+        main(["water-raman", "--n", "1", "--sanitize"])
