@@ -5,8 +5,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: lint test test-all sanitize-smoke trace-demo faults-demo \
-	test-faults test-canonical test-integrals test-obs coverage-gate \
-	bench bench-compare
+	test-faults test-canonical test-integrals test-dfpt test-obs \
+	coverage-gate bench bench-compare
 
 # qfbench (benchmarks/qfbench/README.md): run.py writes each seed's
 # record-<sha>-seed<S>.json into BENCH_OUT; `make bench` copies it on
@@ -91,6 +91,12 @@ test-canonical:
 # invariance, and the Hermite Coulomb read bound
 test-integrals:
 	QF_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/integrals
+
+# the response suites with the sanitizer on: CPHF against the
+# AO-basis iterative oracle and finite fields, analytic gradients
+# against finite differences, and the displacement loop
+test-dfpt:
+	QF_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/dfpt
 
 # the telemetry suites with the sanitizer on: spans, exporters and the
 # manifest, the CLI telemetry flags, and the executor backends whose

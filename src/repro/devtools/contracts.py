@@ -217,8 +217,9 @@ def check_response(resp, label: str = "", phase: str = "", *,
         check_array("dalpha_dr", resp.dalpha_dr, shape=(ncoord, 3, 3),
                     context=context, force=force)
     if resp.alpha is not None:
-        # CPHF alpha is symmetric only to solver tolerance (1e-8 on U),
-        # which propagates to ~1e-6 on the tensor
+        # the direct CPHF solve gives alpha symmetric to round-off, but
+        # store entries written by the older iterative solver carry its
+        # asymmetry (1e-8 on U, ~1e-6 on the tensor), so the bound stays
         check_array("alpha", resp.alpha, symmetric=True, shape=(3, 3),
                     atol=1.0e-5, context=context, force=force)
     return resp

@@ -2,9 +2,10 @@
 
 Per-fragment response machinery of the QF-RAMAN worker:
 
-* :mod:`repro.dfpt.cphf` — coupled-perturbed SCF for homogeneous
-  electric fields → the polarizability tensor (the paper's DFPT
-  response cycle: P(1) → n(1)(r) → v(1) → H(1)).
+* :mod:`repro.dfpt.cphf` — coupled-perturbed HF for homogeneous
+  electric fields → the polarizability tensor, one direct solve of the
+  MO orbital Hessian (the paper's DFPT response cycle
+  P(1) → n(1)(r) → v(1) → H(1), folded into one matrix).
 * :mod:`repro.dfpt.gradient` — analytic nuclear gradients (exact-ERI
   and density-fitted paths).
 * :mod:`repro.dfpt.hessian` — the atomic-displacement loop: Hessian by

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dfpt.cphf import CPHF
 from repro.geometry.atoms import Geometry
 from repro.scf.grid import evaluate_basis
 from repro.scf.poisson import grid_for_geometry, solve_poisson
@@ -37,11 +36,6 @@ from repro.obs.export import phase_totals
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.utils.flops import FlopCounter, gemm_flops
 
-#: CPHF's phase spans fold into the cycle's phase keys, as its FLOPs
-#: fold into the same FlopCounter categories
-_CPHF_PHASES = {"dfpt.p1": "p1", "dfpt.n1r_poisson": "n1r+poisson",
-                "dfpt.h1": "h1"}
-
 
 @dataclass
 class DFPTCycleResult:
@@ -51,7 +45,6 @@ class DFPTCycleResult:
     nbf: int
     flops: dict[str, int]
     seconds: dict[str, float]
-    alpha: np.ndarray | None = None
     extras: dict = field(default_factory=dict)
 
     def rate_gflops(self, phase: str) -> float:
@@ -64,15 +57,13 @@ def run_dfpt_cycle(
     geometry: Geometry,
     uniform_n: int = 48,
     radial_points: int = 30,
-    full_cphf: bool = False,
 ) -> DFPTCycleResult:
     """One instrumented DFPT cycle for a fragment.
 
-    With ``full_cphf`` the response is iterated to convergence (and the
-    polarizability returned); otherwise a single first-order cycle is
-    executed — the unit the paper's "DFPT time per cycle" measures.
-    The phase seconds are span totals of a local tracer; its spans are
-    handed on to the caller's tracer afterwards.
+    A single first-order cycle is executed — the unit the paper's
+    "DFPT time per cycle" measures. The phase seconds are span totals
+    of a local tracer; its spans are handed on to the caller's tracer
+    afterwards.
     """
     tracer = Tracer()
     flops = FlopCounter()
@@ -146,23 +137,15 @@ def run_dfpt_cycle(
                 flops=_alias(flops, "h1"),
             )
             h1 = h1_xc + h1_es
-
-        alpha = None
-        if full_cphf:
-            with tracer.span("full_cphf"):
-                alpha = CPHF(scf, flops=flops).run().alpha
     get_tracer().adopt(tracer.export())
-    seconds: dict[str, float] = {}
-    for name, (secs, _calls) in phase_totals(tracer.records).items():
-        key = _CPHF_PHASES.get(name, name)
-        seconds[key] = seconds.get(key, 0.0) + secs
+    seconds = {name: secs
+               for name, (secs, _calls) in phase_totals(tracer.records).items()}
 
     return DFPTCycleResult(
         natoms=geometry.natoms,
         nbf=nbf,
         flops=dict(flops.totals),
         seconds=seconds,
-        alpha=alpha,
         extras={"h1_norm": float(np.linalg.norm(h1)), "p1_norm": float(np.linalg.norm(p1))},
     )
 

@@ -181,9 +181,9 @@ class DensityFitting:
     def exchange_density(self, density: np.ndarray) -> np.ndarray:
         """Exchange from a (possibly non-idempotent) density matrix.
 
-        Needed by CPHF, where the perturbed density is not a simple
-        occupied-orbital outer product. O(nbf^3 naux) — use
-        :meth:`exchange` when occupied orbitals are available.
+        Its one caller is the first iteration of an SCF seeded with a
+        guess density, before any occupied orbitals exist. O(nbf^3 naux)
+        — use :meth:`exchange` when occupied orbitals are available.
         """
         nbf = self.b.shape[0]
         # t_{aP,d} = sum_c b_{acP} P_cd, then K_ab = sum_{Pd} t_{aPd} b_{bdP}

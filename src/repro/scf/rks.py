@@ -3,13 +3,13 @@
 The DFT mode of the fragment engine. The Fock build follows the
 paper's worker phases literally: density on the real-space grid,
 Coulomb through density fitting (the Poisson role), exchange-
-correlation potential integrated back into the Hamiltonian. The
-corresponding response path (CPKS with the LDA kernel) lives in
-:mod:`repro.dfpt.cphf`, which dispatches on the ``xc`` extras set here.
+correlation potential integrated back into the Hamiltonian.
 
-Scope note (DESIGN.md): RKS provides energies, densities, and
-polarizabilities; analytic RKS gradients (grid-weight derivatives) are
-out of scope, so the spectra pipeline uses RHF.
+Scope note (DESIGN.md): RKS provides energies and densities, and its
+grid quantities feed the instrumented worker cycle
+(:mod:`repro.kernels.worker`). There is no CPKS response and no
+analytic RKS gradient (grid-weight derivatives), so the spectra
+pipeline uses RHF; :class:`repro.dfpt.cphf.CPHF` rejects an RKS state.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class RKS(RHF):
         rho = density_on_grid(self.chi, result.density)
         if sanitize_enabled():
             # a negative or NaN grid density poisons the LDA kernel and
-            # therefore every CPKS response built on this state
+            # and so the worker cycle's H(1) built on this state
             ctx = f"rks natoms={self.geometry.natoms} grid={rho.size}"
             check_array("rho_grid", rho, context=ctx)
             if float(rho.min()) < -1.0e-10:

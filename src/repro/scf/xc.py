@@ -83,11 +83,12 @@ def lda_xc(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lda_kernel(rho: np.ndarray) -> np.ndarray:
-    """f_xc = d v_xc / d rho, the LDA response kernel used by CPKS.
+    """f_xc = d v_xc / d rho, the LDA response kernel of the worker
+    cycle's H(1) phase (:mod:`repro.kernels.worker`).
 
     Computed by tight central differences of the potential — exact
-    enough (1e-9 relative) for the coupled-perturbed iterations while
-    keeping the code one obvious formula.
+    enough (1e-9 relative) for a response kernel while keeping the code
+    one obvious formula.
     """
     rho = np.clip(np.asarray(rho, dtype=float), 1e-12, None)
     h = 1e-6 * np.maximum(rho, 1e-6)

@@ -36,14 +36,3 @@ def test_outputs_finite(water_cycle):
     assert np.isfinite(water_cycle.extras["h1_norm"])
     assert np.isfinite(water_cycle.extras["p1_norm"])
     assert water_cycle.extras["p1_norm"] > 0
-
-
-def test_full_cphf_option():
-    out = run_dfpt_cycle(water_molecule(), uniform_n=24, radial_points=24,
-                         full_cphf=True)
-    assert out.alpha is not None
-    # CPHF's phase spans fold into the cycle's keys
-    assert {"p1", "n1r", "poisson", "h1", "n1r+poisson",
-            "full_cphf"} <= set(out.seconds)
-    # LDA water polarizability ~ a few a.u.
-    assert 1.0 < np.trace(out.alpha) / 3.0 < 10.0
