@@ -5,8 +5,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: lint test test-all sanitize-smoke trace-demo faults-demo \
-	test-faults test-canonical test-integrals test-dfpt test-obs \
-	coverage-gate bench bench-compare
+	test-faults test-canonical test-integrals test-dfpt test-spectra \
+	test-obs coverage-gate bench bench-compare
 
 # qfbench (benchmarks/qfbench/README.md): run.py writes each seed's
 # record-<sha>-seed<S>.json into BENCH_OUT; `make bench` copies it on
@@ -97,6 +97,14 @@ test-integrals:
 # against finite differences, and the displacement loop
 test-dfpt:
 	QF_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/dfpt
+
+# the spectrum-solver suites with the sanitizer on: the plain Lanczos
+# recurrence against the reorthogonalized oracle, Lanczos/GAGQ against
+# dense diagonalization (the exact k >= 3N rule and a non-degenerate
+# operator), and the quadrature properties
+test-spectra:
+	QF_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/spectra \
+		tests/test_property_based.py::test_lanczos_quadrature_weights_nonnegative
 
 # the telemetry suites with the sanitizer on: spans, exporters and the
 # manifest, the CLI telemetry flags, and the executor backends whose

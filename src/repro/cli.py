@@ -127,6 +127,8 @@ def _finish_obs(args, tracer, result, command: str, config: dict) -> None:
             extras["partial_spectrum"] = True
             extras["skipped_fragments"] = list(result.skipped_fragments)
         extras["canonical_cache"] = dict(result.canonical)
+        if result.spectrum is not None:
+            extras["quadrature_delta"] = result.spectrum.quadrature_delta
         manifest = collect_manifest(
             command=command, config=config,
             seeds={"seed": getattr(args, "seed", None)},

@@ -340,7 +340,7 @@ class QFRamanPipeline:
         masses = self.masses()
         spectrum = None
         if omega_cm1 is not None and self.compute_raman:
-            with get_tracer().span("spectrum", solver=solver):
+            with get_tracer().span("spectrum", solver=solver) as spectrum_span:
                 if solver == "dense":
                     spectrum = raman_spectrum_dense(
                         assembled.hessian, assembled.dalpha_dr, masses,
@@ -356,6 +356,8 @@ class QFRamanPipeline:
                         sigma_cm1, k=lanczos_k, convention=convention,
                         mass_weighted=True,
                     )
+                    spectrum_span.set(
+                        quadrature_delta=spectrum.quadrature_delta)
                 else:
                     raise ValueError(f"unknown solver {solver!r}")
         if self.throughput is None:

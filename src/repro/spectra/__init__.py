@@ -3,8 +3,9 @@
 * :mod:`repro.spectra.modes` — mass-weighted Hessians and the dense
   full-diagonalization baseline (what the paper calls computationally
   infeasible beyond ~10^5 atoms).
-* :mod:`repro.spectra.lanczos` — Lanczos tridiagonalization with full
-  reorthogonalization.
+* :mod:`repro.spectra.lanczos` — Lanczos tridiagonalization by the
+  plain three-term recurrence: no stored basis, O(n) memory and O(kn)
+  time per functional.
 * :mod:`repro.spectra.gagq` — the generalized averaged Gauss quadrature
   augmentation (paper §V-E, Eq. 5-8): spectra as matrix functionals
   d^T δ(ω - H) d without any full diagonalization.

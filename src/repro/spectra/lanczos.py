@@ -1,13 +1,14 @@
-"""Lanczos tridiagonalization with full reorthogonalization.
+"""Lanczos tridiagonalization by the plain three-term recurrence.
 
-The k-step Lanczos recurrence produces H Q_k = Q_k T_k + beta_k q_{k+1}
-e_k^T with orthonormal q's and a k x k symmetric tridiagonal T_k. The
-Raman solver (paper Eq. 5-7) only needs T_k (and beta_k for the GAGQ
-augmentation), never the basis Q — but we keep Q optionally for tests.
-
-Full reorthogonalization costs O(k^2 n) and removes the ghost-eigenvalue
-pathology; k is tiny (hundreds) next to n (up to 3*10^8 in the paper),
-so this is the numerically safe default.
+The k-step recurrence H Q_k = Q_k T_k + beta_k q_{k+1} e_k^T gives the
+symmetric tridiagonal T_k the Raman solver (paper Eq. 5-7) needs. Only
+the last two vectors are kept: O(n) memory and O(k n) time per
+functional (a stored basis would be 360 GB at 3N = 3*10^8, k = 150).
+Lost orthogonality duplicates converged Ritz values but leaves the
+quadrature accurate; only at k >= n, where Gauss should be exact,
+:func:`repro.spectra.raman.raman_spectrum_lanczos` takes the exact rule
+instead. Full reorthogonalization is the test oracle
+(``tests/spectra/oracle.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.obs.tracer import get_tracer
 class LanczosResult:
     alpha: np.ndarray        # (k,) diagonal of T_k
     beta: np.ndarray         # (k,) off-diagonals; beta[k-1] is the residual norm
-    q: np.ndarray | None     # (n, k) Lanczos basis when kept
     d_norm: float            # |d| of the start vector
     breakdown: bool          # True if the Krylov space was exhausted early
 
@@ -35,12 +35,15 @@ class LanczosResult:
     def k(self) -> int:
         return self.alpha.size
 
-    def tridiagonal(self) -> np.ndarray:
-        """Dense T_k."""
-        t = np.diag(self.alpha)
-        off = self.beta[:-1]
-        t += np.diag(off, 1) + np.diag(off, -1)
-        return t
+    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """T_k as its (diagonal, off-diagonal) pair."""
+        return self.alpha, self.beta[:-1]
+
+    def head(self, m: int) -> "LanczosResult":
+        """The m-step run this run began with (m <= k): the recurrence
+        never looks ahead, so its coefficients are the first m."""
+        return LanczosResult(self.alpha[:m], self.beta[:m], self.d_norm,
+                             self.breakdown and m == self.k)
 
 
 def _as_matvec(h) -> Callable[[np.ndarray], np.ndarray]:
@@ -52,13 +55,14 @@ def _as_matvec(h) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: h @ v
 
 
-def lanczos(
-    h,
-    start: np.ndarray,
-    k: int,
-    keep_basis: bool = False,
-    reorthogonalize: bool = True,
-) -> LanczosResult:
+def operator_matrix(h, n: int) -> np.ndarray:
+    """The dense n x n operator as ``h`` applied to the identity: n
+    counted matvecs, for the small k >= n regime of the exact rule."""
+    counters().inc("lanczos.matvecs", n)
+    return np.asarray(_as_matvec(h)(np.eye(n)))
+
+
+def lanczos(h, start: np.ndarray, k: int) -> LanczosResult:
     """k-step Lanczos on a symmetric operator.
 
     Parameters
@@ -89,23 +93,17 @@ def lanczos(
 
     alphas: list[float] = []
     betas: list[float] = []
-    # row j is q_j; filled in place, never rebuilt
-    basis = np.empty((k + 1, n))
-    basis[0] = q
     q_prev = np.zeros_like(q)
     beta_prev = 0.0
     breakdown = False
     with get_tracer().span("lanczos", n=n, k=k) as sp:
-        for j in range(k):
-            w = matvec(q)
+        for _ in range(k):
+            # Paige's ordering: remove the q_{j-1} component before
+            # taking alpha_j, the most stable form of the recurrence
+            w = matvec(q) - beta_prev * q_prev
             a = float(q @ w)
             alphas.append(a)
-            w = w - a * q - beta_prev * q_prev
-            if reorthogonalize:
-                # two passes of classical Gram-Schmidt ("twice is enough")
-                qs = basis[: j + 1]
-                for _pass in range(2):
-                    w = w - qs.T @ (qs @ w)
+            w -= a * q
             b = float(np.linalg.norm(w))
             betas.append(b)
             if b < 1e-12 * max(1.0, abs(a)):
@@ -113,7 +111,6 @@ def lanczos(
                 break
             q_prev, q = q, w / b
             beta_prev = b
-            basis[j + 1] = q
         sp.set(steps=len(alphas), breakdown=breakdown)
     counters().inc("lanczos.matvecs", len(alphas))
 
@@ -128,7 +125,6 @@ def lanczos(
     return LanczosResult(
         alpha=alpha_arr,
         beta=beta_arr,
-        q=basis[: len(alphas)].T if keep_basis else None,
         d_norm=d_norm,
         breakdown=breakdown,
     )

@@ -63,6 +63,21 @@ def test_lanczos_solver_matches_dense(small_box_run):
     assert np.abs(res.spectrum.intensity - res_l.spectrum.intensity).max() < 1e-6 * scale
 
 
+def test_lanczos_health_number_on_the_spectrum_span():
+    from repro.obs import disable_tracing, enable_tracing
+
+    tracer = enable_tracing()
+    try:
+        res = QFRamanPipeline(waters=water_box(1, seed=0)).run(
+            omega_cm1=np.linspace(100, 5000, 200), sigma_cm1=30.0,
+            solver="lanczos", lanczos_k=4)
+    finally:
+        disable_tracing()
+    span = next(r for r in tracer.records if r.path == "run/spectrum")
+    assert span.attrs["quadrature_delta"] == res.spectrum.quadrature_delta
+    assert res.spectrum.quadrature_delta > 0.0  # k = 4 < 3N = 9
+
+
 def test_unknown_solver_rejected():
     waters = water_box(2, seed=0)
     pipe = QFRamanPipeline(waters=waters, compute_raman=True)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from repro.devtools.contracts import ContractViolation, sanitize
 from repro.spectra.gagq import (
     gagq_matrix,
     gauss_quadrature_functional,
     quadrature_nodes_weights,
 )
-from repro.spectra.lanczos import lanczos
+from repro.spectra.lanczos import LanczosResult, lanczos
 
 
 def _random_sym(n, seed=0, lo=0.5, hi=4.0):
@@ -19,16 +20,16 @@ def _random_sym(n, seed=0, lo=0.5, hi=4.0):
 def test_gagq_matrix_shape():
     h = _random_sym(30, 1)
     res = lanczos(h, np.ones(30), k=8)
-    t_hat = gagq_matrix(res)
-    assert t_hat.shape == (15, 15)  # 2k - 1
-    assert np.allclose(t_hat, t_hat.T)
+    diag, off = gagq_matrix(res)
+    assert diag.shape == (15,)  # 2k - 1
+    assert off.shape == (14,)
 
 
 def test_gagq_matrix_k1():
     res = lanczos(np.eye(4) * 2.0, np.ones(4), k=1)
-    t_hat = gagq_matrix(res)
-    assert t_hat.shape == (1, 1)
-    assert t_hat[0, 0] == pytest.approx(2.0)
+    diag, off = gagq_matrix(res)
+    assert diag.shape == (1,) and off.shape == (0,)
+    assert diag[0] == pytest.approx(2.0)
 
 
 def test_gagq_structure():
@@ -36,9 +37,7 @@ def test_gagq_structure():
     offdiag = [b_1..b_{k-1}, b_k, b_{k-2}..b_1]."""
     h = _random_sym(40, 2)
     res = lanczos(h, np.arange(1.0, 41.0), k=5)
-    t_hat = gagq_matrix(res)
-    d = np.diag(t_hat)
-    e = np.diag(t_hat, 1)
+    d, e = gagq_matrix(res)
     a, b = res.alpha, res.beta
     assert np.allclose(d, np.concatenate([a[:4], [a[4]], a[:4][::-1]]))
     assert np.allclose(
@@ -108,3 +107,12 @@ def test_functional_vector_valued():
     proj = (vecs.T @ d) ** 2
     exact = np.array([np.sum(proj * np.exp(-((w - evals) ** 2))) for w in omega])
     assert np.allclose(out, exact, atol=1e-6)
+
+
+def test_sanitizer_checks_the_tridiagonal_pair():
+    res = LanczosResult(alpha=np.array([1.0, 2.0, 3.0]),
+                        beta=np.array([0.5, np.nan, 0.1]),
+                        d_norm=1.0, breakdown=False)
+    with sanitize(True):
+        with pytest.raises(ContractViolation, match="off"):
+            quadrature_nodes_weights(res)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
+from repro.spectra.gagq import quadrature_nodes_weights
 from repro.spectra.lanczos import lanczos
+from tests.spectra.oracle import oracle_nodes_weights, reorthogonalized_lanczos
 
 
 def _random_sym(n, seed=0):
@@ -11,25 +14,35 @@ def _random_sym(n, seed=0):
     return (a + a.T) / 2
 
 
+def _spread_spd(n, seed, lo=1.0, hi=10.0):
+    """SPD operator with n distinct eigenvalues spread over [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (q * np.linspace(lo, hi, n)) @ q.T
+
+
+def _ritz(res):
+    return scipy.linalg.eigvalsh_tridiagonal(*res.tridiagonal())
+
+
 def test_full_lanczos_reproduces_eigenvalues():
     h = _random_sym(12, 1)
     res = lanczos(h, np.ones(12), k=12)
-    t = res.tridiagonal()
-    ritz = np.sort(np.linalg.eigvalsh(t[: res.k, : res.k]))
+    ritz = np.sort(_ritz(res))
     exact = np.sort(np.linalg.eigvalsh(h))
     assert np.allclose(ritz, exact, atol=1e-8)
 
 
 def test_basis_orthonormal():
     h = _random_sym(30, 2)
-    res = lanczos(h, np.arange(1.0, 31.0), k=20, keep_basis=True)
+    res = reorthogonalized_lanczos(h, np.arange(1.0, 31.0), k=20)
     q = res.q
     assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
 
 
 def test_three_term_recurrence():
     h = _random_sym(25, 3)
-    res = lanczos(h, np.ones(25), k=15, keep_basis=True)
+    res = reorthogonalized_lanczos(h, np.ones(25), k=15)
     q = res.q
     t = res.tridiagonal()
     # H Q_k = Q_k T_k + beta_k q_{k+1} e_k^T -> residual only in last column
@@ -45,8 +58,7 @@ def test_breakdown_on_invariant_subspace():
     res = lanczos(h, d, k=10)
     assert res.breakdown
     assert res.k == 2
-    ritz = np.linalg.eigvalsh(res.tridiagonal())
-    assert np.allclose(np.sort(ritz), [1.0, 2.0], atol=1e-10)
+    assert np.allclose(np.sort(_ritz(res)), [1.0, 2.0], atol=1e-10)
 
 
 def test_sparse_and_callable_inputs_agree():
@@ -72,8 +84,6 @@ def test_k_validated():
 
 def test_moments_match():
     """Gauss property: sum_j w_j theta_j^m = d^T H^m d for m < 2k."""
-    from repro.spectra.gagq import quadrature_nodes_weights
-
     h = _random_sym(20, 5)
     d = np.arange(1.0, 21.0)
     res = lanczos(h, d, k=5)
@@ -82,3 +92,35 @@ def test_moments_match():
         exact = d @ np.linalg.matrix_power(h, m) @ d
         quad = np.sum(w * theta ** m)
         assert quad == pytest.approx(exact, rel=1e-8)
+
+
+def test_recurrence_matches_oracle_coefficients():
+    """Before any Ritz value converges the plain recurrence keeps its
+    basis orthogonal to round-off, so its T_k is the oracle's."""
+    h = _spread_spd(300, 6)
+    d = np.random.default_rng(7).normal(size=300)
+    res = lanczos(h, d, k=12)
+    ref = reorthogonalized_lanczos(h, d, k=12)
+    assert np.allclose(res.alpha, ref.alpha, rtol=1e-10, atol=0.0)
+    assert np.allclose(res.beta, ref.beta, rtol=1e-10, atol=0.0)
+
+
+def test_quadrature_matches_oracle():
+    """Gauss nodes and weights on a non-degenerate operator below n."""
+    h = _spread_spd(200, 8, lo=0.5, hi=4.0)
+    d = np.random.default_rng(9).normal(size=200)
+    theta, w = quadrature_nodes_weights(lanczos(h, d, k=30), averaged=False)
+    ref_theta, ref_w = oracle_nodes_weights(reorthogonalized_lanczos(h, d, k=30))
+    assert np.allclose(theta, ref_theta, rtol=1e-9, atol=0.0)
+    assert np.allclose(w, ref_w, rtol=1e-7, atol=1e-12 * (d @ d))
+
+
+def test_head_is_the_shorter_run():
+    """The first m coefficients of a k-step run are the m-step run."""
+    h = _spread_spd(80, 10)
+    d = np.arange(1.0, 81.0)
+    head = lanczos(h, d, k=20).head(10)
+    short = lanczos(h, d, k=10)
+    assert np.array_equal(head.alpha, short.alpha)
+    assert np.array_equal(head.beta, short.beta)
+    assert head.d_norm == short.d_norm and not head.breakdown

@@ -52,6 +52,8 @@ def test_water_raman_telemetry_flags(tmp_path, capsys):
     assert m["schema"] == 2
     assert m["phase_wall_s"]["fragment_response"] > 0
     assert m["phase_wall_s"]["gradient"] > 0
+    # the quadrature health number exists only on the Lanczos solver
+    assert m["extras"]["quadrature_delta"] is None
     # tracing was torn down at command exit
     from repro.obs import NULL_TRACER, get_tracer, tracing_requested
 
