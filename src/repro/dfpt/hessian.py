@@ -92,6 +92,7 @@ def _displaced_scf(
     res = RHF(geom_d, **scf_kwargs).run(guess_density=guess_density)
     if not res.converged:
         # retry cold — a bad guess can stall DIIS in rare cases
+        counters().inc("scf.cold_retries")
         res = RHF(geom_d, **scf_kwargs).run()
     if not res.converged:
         raise RuntimeError(

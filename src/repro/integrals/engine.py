@@ -37,6 +37,7 @@ from repro.integrals.batched import (
     build_pair_blocks,
     scatter_eri,
     scatter_eri_deriv_ab,
+    scatter_metric,
     scatter_ordered,
     scatter_pairs_2c,
     scatter_pairs_aux,
@@ -342,6 +343,11 @@ class PairBlock:
     def nprim(self) -> int:
         return self.a.size
 
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """(npair, ncomp_a, ncomp_b): the leading axes of its values."""
+        return self.npair, len(components(self.la)), len(components(self.lb))
+
     def e_tensors(self, da: int = 0, db: int = 0) -> list[np.ndarray]:
         """E coefficient tensors for the three dimensions, each of shape
         ``(nprim, la+da+1, lb+db+1, la+da+lb+db+1)``."""
@@ -351,19 +357,22 @@ class PairBlock:
             for d in range(3)
         ]
 
+    def prim_rows(self, arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Rows of a primitive-major ``(npair*k2, ...)`` array that
+        belong to the pairs in ``idx``."""
+        shaped = arr.reshape(self.npair, self.k2, *arr.shape[1:])
+        return shaped[idx].reshape(idx.size * self.k2, *arr.shape[1:])
+
     def subset(self, idx: np.ndarray) -> "PairBlock":
         """View of this block restricted to the pairs in ``idx``.
 
         Used by Schwarz screening to evaluate only surviving pairs.
         """
-        k2 = self.k2
-
         def prim(arr: np.ndarray) -> np.ndarray:
-            shaped = arr.reshape(self.npair, k2, *arr.shape[1:])
-            return shaped[idx].reshape(idx.size * k2, *arr.shape[1:])
+            return self.prim_rows(arr, idx)
 
         return PairBlock(
-            la=self.la, lb=self.lb, k2=k2,
+            la=self.la, lb=self.lb, k2=self.k2,
             ishell=self.ishell[idx], jshell=self.jshell[idx],
             off_a=self.off_a[idx], off_b=self.off_b[idx],
             atom_a=self.atom_a[idx], atom_b=self.atom_b[idx],
@@ -373,38 +382,113 @@ class PairBlock:
         )
 
 
-def _e3_components(
-    ex: list[np.ndarray],
-    la: int,
-    lb: int,
-    combos: tuple[tuple[int, int, int], ...],
-    sign: bool = False,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Collapse per-dimension E tensors into the product tensor.
+# ---------------------------------------------------------------------------
+# the Hermite product tensor E3
+# ---------------------------------------------------------------------------
 
-    Returns shape ``(nprim, ncomp_a * ncomp_b, ncombos)`` where entry
-    ``[.., (ca, cb), k]`` is ``Ex[ia,jb,t] Ey[..] Ez[..]`` for combo
-    ``combos[k] = (t, u, v)``; multiplied by ``(-1)^{t+u+v}`` when
-    ``sign`` and by ``weights`` (e.g. contraction coefficients) if given.
+def _e_deriv(e: np.ndarray, exps: np.ndarray, centre: int) -> np.ndarray:
+    """Centre derivative of one dimension's E tensor.
+
+    ``e`` is an ``(nprim, i, j, t)`` tensor built one index higher on
+    the differentiated centre (``e_tensors(da=1)`` for A, ``db=1`` for
+    B) and ``exps`` holds that centre's exponents. Along the centre's
+    axis (i for ``centre`` 0, j for 1) the Hermite rule
+    dE^{ij}_t/dA_x = 2a E^{i+1,j}_t - i E^{i-1,j}_t gives a tensor one
+    row shorter there, nonzero up to t <= i + j + 1.
     """
-    comps_a = components(la)
+    e = np.moveaxis(e, 1 + centre, 1)
+    n = e.shape[1] - 1
+    out = (2.0 * exps)[:, None, None, None] * e[:, 1:]
+    out[:, 1:] -= np.arange(1, n)[:, None, None] * e[:, : n - 1]
+    return np.moveaxis(out, 1, 1 + centre)
+
+
+def _swapped(ex: list[np.ndarray], blk: PairBlock, d: int, centre: int = 0
+             ) -> list[np.ndarray]:
+    """``ex`` with dimension d's tensor swapped for its :func:`_e_deriv`
+    on ``centre`` (0 for A, 1 for B; ``ex`` built one index higher
+    there): the E tensors of the centre's d-derivative."""
+    return [_e_deriv(e, (blk.a, blk.b)[centre], centre) if k == d else e
+            for k, e in enumerate(ex)]
+
+
+@lru_cache(maxsize=None)
+def _e3_plan(la: int, lb: int, lherm: int, raised: int,
+             shapes: tuple[tuple[int, int, int], ...]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Gather plan of one E3 product.
+
+    Lists the structurally nonzero entries of the (component pair,
+    Hermite combo) table of class (la, lb) over
+    ``hermite_combos(lherm)``: t <= i + j in every dimension, one more
+    in dimension ``raised`` (an :func:`_e_deriv` tensor; -1 for none).
+    Returns the flat index of each entry into each dimension's
+    ``(i, j, t)`` tensor of shape ``shapes[d]``, shape (3, nnz), and
+    its flat column in the ``ncomp_a * ncomp_b * ncombos`` output.
+    """
     comps_b = components(lb)
-    nprim = ex[0].shape[0]
-    out = np.zeros((nprim, len(comps_a) * len(comps_b), len(combos)))
-    for ia, (ax, ay, az) in enumerate(comps_a):
-        for ib, (bx, by, bz) in enumerate(comps_b):
-            col = ia * len(comps_b) + ib
-            for k, (t, u, v) in enumerate(combos):
-                if t > ax + bx or u > ay + by or v > az + bz:
-                    continue
-                val = ex[0][:, ax, bx, t] * ex[1][:, ay, by, u] * ex[2][:, az, bz, v]
-                if sign and (t + u + v) % 2 == 1:
-                    val = -val
-                out[:, col, k] = val
-    if weights is not None:
-        out *= weights[:, None, None]
-    return out
+    combos = hermite_combos(lherm)
+    rows, cols = [], []
+    for ia, ca in enumerate(components(la)):
+        for ib, cb in enumerate(comps_b):
+            col = (ia * len(comps_b) + ib) * len(combos)
+            for k, tuv in enumerate(combos):
+                if all(tuv[d] <= ca[d] + cb[d] + (d == raised)
+                       for d in range(3)):
+                    rows.append([np.ravel_multi_index(
+                        (ca[d], cb[d], tuv[d]), shapes[d]) for d in range(3)])
+                    cols.append(col + k)
+    plan = np.array(rows, dtype=np.intp).T.copy(), np.array(cols, dtype=np.intp)
+    for table in plan:
+        table.setflags(write=False)
+    return plan
+
+
+def _e3(blk: PairBlock, ex: list[np.ndarray],
+        centres: tuple[int, ...] = ()) -> np.ndarray:
+    """Hermite product tensors E3 of a pair block.
+
+    Shape ``(nvar, nprim, ncomp_a * ncomp_b, ncombos(lherm))``: entry
+    ``[x, p, (ca, cb), k]`` is ``w_p Ex[ax, bx, t] Ey[ay, by, u]
+    Ez[az, bz, v]`` for ``hermite_combos(lherm)[k] = (t, u, v)`` and
+    contraction weight ``w_p = blk.cc[p]``. With no ``centres`` there
+    is one plain variant of ``ex`` over lherm = la + lb. Otherwise each
+    centre (0 for A, 1 for B; ``ex`` built one index higher there)
+    gives three variants, d/dx, d/dy, d/dz: the same product on
+    :func:`_swapped` tensors, over lherm = la + lb + 1. Only the
+    :func:`_e3_plan` entries are gathered; every other entry is an
+    exact zero.
+    """
+    variants = [(_swapped(ex, blk, d, c), d)
+                for c in centres for d in range(3)] or [(ex, -1)]
+    nprim = blk.nprim
+    nab = blk.dims[1] * blk.dims[2]
+    lherm = blk.la + blk.lb + bool(centres)
+    nk = ncombos(lherm)
+    out = np.zeros((len(variants), nprim, nab * nk))
+    w = blk.cc[:, None]
+    for x, (ev, raised) in enumerate(variants):
+        src, cols = _e3_plan(blk.la, blk.lb, lherm, raised,
+                             tuple(e.shape[1:] for e in ev))
+        vals = ev[0].reshape(nprim, -1).take(src[0], axis=1)
+        vals *= ev[1].reshape(nprim, -1).take(src[1], axis=1)
+        vals *= ev[2].reshape(nprim, -1).take(src[2], axis=1)
+        vals *= w
+        out[x][:, cols] = vals
+    return out.reshape(len(variants), nprim, nab, nk)
+
+
+def _lherm(blk: PairBlock, e3: np.ndarray) -> int:
+    """Hermite order of an :func:`_e3` stack: la + lb for its one plain
+    variant, one more for derivative variants (three per centre)."""
+    return blk.la + blk.lb + int(e3.shape[0] > 1)
+
+
+def _signed(blk: PairBlock, e3: np.ndarray) -> np.ndarray:
+    """The ket form of an :func:`_e3` stack: times (-1)^(t+u+v), since
+    R_tuv(Q - P) = (-1)^(t+u+v) R_tuv(P - Q). Exact (a sign flip)."""
+    parity = [(-1.0) ** sum(c) for c in hermite_combos(_lherm(blk, e3))]
+    return e3 * np.array(parity)
 
 
 @lru_cache(maxsize=None)
@@ -439,6 +523,58 @@ def _raised_index(lmax: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# one-electron block kernels
+# ---------------------------------------------------------------------------
+#
+# Both read the t = 0 column of the E tensors only, so a centre
+# derivative is the same kernel on tensors with one dimension swapped
+# for its _e_deriv.
+
+def _overlap_block(blk: PairBlock, ex: list[np.ndarray]) -> np.ndarray:
+    """(npair, na, nb) overlap values from E tensors."""
+    comps_a = components(blk.la)
+    comps_b = components(blk.lb)
+    pref = (math.pi / blk.p) ** 1.5 * blk.cc
+    out = np.empty((blk.npair, len(comps_a), len(comps_b)))
+    for ia, (ax, ay, az) in enumerate(comps_a):
+        for ib, (bx, by, bz) in enumerate(comps_b):
+            prim = (
+                ex[0][:, ax, bx, 0] * ex[1][:, ay, by, 0] * ex[2][:, az, bz, 0]
+            ) * pref
+            out[:, ia, ib] = prim.reshape(blk.npair, blk.k2).sum(axis=1)
+    return out
+
+
+def _kinetic_block(blk: PairBlock, ex: list[np.ndarray]) -> np.ndarray:
+    """(npair, na, nb) kinetic values from E tensors built with db=2."""
+    comps_a = components(blk.la)
+    comps_b = components(blk.lb)
+    pref = (math.pi / blk.p) ** 1.5 * blk.cc
+    out = np.empty((blk.npair, len(comps_a), len(comps_b)))
+
+    def s00(axs, bxs):
+        return (
+            ex[0][:, axs[0], bxs[0], 0]
+            * ex[1][:, axs[1], bxs[1], 0]
+            * ex[2][:, axs[2], bxs[2], 0]
+        )
+
+    for ia, ca in enumerate(comps_a):
+        for ib, cb in enumerate(comps_b):
+            i, j, k = cb
+            term = blk.b * (2 * (i + j + k) + 3) * s00(ca, cb)
+            for d, inc in enumerate(((2, 0, 0), (0, 2, 0), (0, 0, 2))):
+                cb2 = (cb[0] + inc[0], cb[1] + inc[1], cb[2] + inc[2])
+                term = term - 2.0 * blk.b ** 2 * s00(ca, cb2)
+                if cb[d] >= 2:
+                    cbm = (cb[0] - inc[0], cb[1] - inc[1], cb[2] - inc[2])
+                    term = term - 0.5 * cb[d] * (cb[d] - 1) * s00(ca, cbm)
+            prim = term * pref
+            out[:, ia, ib] = prim.reshape(blk.npair, blk.k2).sum(axis=1)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 
@@ -461,6 +597,10 @@ class IntegralEngine:
         ``0`` disables screening (every combination evaluated).
         Counters in :attr:`screen_stats` record evaluated vs skipped
         pair combinations.
+
+    Every two-electron method builds each block's E3 operands once per
+    call, from one :meth:`PairBlock.e_tensors` build, and reuses them
+    across all the block pairs it contracts.
     """
 
     def __init__(self, basis: BasisSet, charges: np.ndarray, coords: np.ndarray,
@@ -477,7 +617,6 @@ class IntegralEngine:
             "pair_combinations_evaluated": 0,
             "pair_combinations_screened": 0,
         }
-        self._schwarz_self: list[np.ndarray] | None = None
 
     # -- Schwarz screening ---------------------------------------------------
 
@@ -488,34 +627,24 @@ class IntegralEngine:
         pair's function components of the diagonal Coulomb interaction
         — the quantity whose product bounds any cross interaction.
         """
-        return [self._schwarz_block(blk) for blk in blocks]
+        return [self._plain_operands(blk, bound=True)[2] for blk in blocks]
 
-    def _bounds_self(self) -> list[np.ndarray]:
-        """Cached Schwarz bounds of the engine's own pair blocks."""
-        if self._schwarz_self is None:
-            self._schwarz_self = self.schwarz_bounds(self.blocks)
-        return self._schwarz_self
-
-    def _schwarz_block(self, blk: PairBlock,
+    def _schwarz_block(self, blk: PairBlock, e3: np.ndarray, e3s: np.ndarray,
                        element_budget: int = 200_000) -> np.ndarray:
         """Diagonal (ab|ab) bound vector of one pair block, vectorized.
 
-        For every pair the k2 x k2 primitive cross products within the
-        same pair are contracted — the diagonal of
-        :meth:`coulomb_block` without the O(npair^2) off-diagonals.
+        ``e3`` and ``e3s`` are the block's plain and signed E3, shape
+        (nprim, nab, ncombos). For every pair the k2 x k2 primitive
+        cross products within the same pair are contracted — the
+        diagonal of :meth:`coulomb_block` without the O(npair^2)
+        off-diagonals.
         """
-        la, lb = blk.la, blk.lb
-        l_half = la + lb
-        combos = hermite_combos(l_half)
-        nk = len(combos)
-        e3b = _e3_components(blk.e_tensors(), la, lb, combos, weights=blk.cc)
-        e3k = _e3_components(
-            blk.e_tensors(), la, lb, combos, sign=True, weights=blk.cc
-        )
+        l_half = blk.la + blk.lb
+        nk = ncombos(l_half)
         npair, k2 = blk.npair, blk.k2
-        nab = e3b.shape[1]
-        e3b = e3b.reshape(npair, k2, nab, nk)
-        e3k = e3k.reshape(npair, k2, nab, nk)
+        nab = e3.shape[1]
+        e3b = e3.reshape(npair, k2, nab, nk)
+        e3k = e3s.reshape(npair, k2, nab, nk)
         p = blk.p.reshape(npair, k2)
         pc = blk.pc.reshape(npair, k2, 3)
         ltot = 2 * l_half
@@ -546,60 +675,15 @@ class IntegralEngine:
     def overlap(self) -> np.ndarray:
         s = np.zeros((self.nbf, self.nbf))
         for blk in self.blocks:
-            ex = blk.e_tensors()
-            vals = self._overlap_block(blk, ex)
-            scatter_symmetric(s, blk, vals)
+            scatter_symmetric(s, blk, _overlap_block(blk, blk.e_tensors()))
+            self._record_one_electron(blk)
         return s
-
-    def _overlap_block(self, blk: PairBlock, ex: list[np.ndarray]) -> np.ndarray:
-        """(npair, na, nb) overlap values from E tensors."""
-        comps_a = components(blk.la)
-        comps_b = components(blk.lb)
-        pref = (math.pi / blk.p) ** 1.5 * blk.cc
-        out = np.empty((blk.npair, len(comps_a), len(comps_b)))
-        for ia, (ax, ay, az) in enumerate(comps_a):
-            for ib, (bx, by, bz) in enumerate(comps_b):
-                prim = (
-                    ex[0][:, ax, bx, 0] * ex[1][:, ay, by, 0] * ex[2][:, az, bz, 0]
-                ) * pref
-                out[:, ia, ib] = prim.reshape(blk.npair, blk.k2).sum(axis=1)
-        self._record_class_gemm(
-            blk.npair, len(comps_a) * len(comps_b), 1, blk.k2
-        )
-        return out
 
     def kinetic(self) -> np.ndarray:
         t = np.zeros((self.nbf, self.nbf))
         for blk in self.blocks:
-            ex = blk.e_tensors(db=2)
-            comps_a = components(blk.la)
-            comps_b = components(blk.lb)
-            pref = (math.pi / blk.p) ** 1.5 * blk.cc
-            vals = np.empty((blk.npair, len(comps_a), len(comps_b)))
-
-            def s00(axs, bxs):
-                return (
-                    ex[0][:, axs[0], bxs[0], 0]
-                    * ex[1][:, axs[1], bxs[1], 0]
-                    * ex[2][:, axs[2], bxs[2], 0]
-                )
-
-            for ia, ca in enumerate(comps_a):
-                for ib, cb in enumerate(comps_b):
-                    i, j, k = cb
-                    term = blk.b * (2 * (i + j + k) + 3) * s00(ca, cb)
-                    for d, inc in enumerate(((2, 0, 0), (0, 2, 0), (0, 0, 2))):
-                        cb2 = (cb[0] + inc[0], cb[1] + inc[1], cb[2] + inc[2])
-                        term = term - 2.0 * blk.b ** 2 * s00(ca, cb2)
-                        if cb[d] >= 2:
-                            cbm = (cb[0] - inc[0], cb[1] - inc[1], cb[2] - inc[2])
-                            term = term - 0.5 * cb[d] * (cb[d] - 1) * s00(ca, cbm)
-                    prim = term * pref
-                    vals[:, ia, ib] = prim.reshape(blk.npair, blk.k2).sum(axis=1)
-            self._record_class_gemm(
-                blk.npair, len(comps_a) * len(comps_b), 1, blk.k2
-            )
-            scatter_symmetric(t, blk, vals)
+            scatter_symmetric(t, blk, _kinetic_block(blk, blk.e_tensors(db=2)))
+            self._record_one_electron(blk)
         return t
 
     def nuclear(self, per_atom: bool = False) -> np.ndarray:
@@ -607,12 +691,9 @@ class IntegralEngine:
         shape (natoms, nbf, nbf): the contribution of each nucleus
         (needed for Hellmann–Feynman gradient terms)."""
         natm = self.charges.size
-        v = np.zeros((natm, self.nbf, self.nbf)) if per_atom else np.zeros(
-            (self.nbf, self.nbf)
-        )
+        v = np.zeros((natm,) * per_atom + (self.nbf, self.nbf))
         for blk in self.blocks:
-            ex = blk.e_tensors()
-            vals = self._nuclear_block(blk, ex, per_atom)
+            vals = self._nuclear_block(blk, blk.e_tensors(), per_atom)
             if per_atom:
                 for c in range(natm):
                     scatter_symmetric(v[c], blk, vals[c])
@@ -623,8 +704,8 @@ class IntegralEngine:
     def _nuclear_block(self, blk: PairBlock, ex: list[np.ndarray],
                        per_atom: bool):
         l_tot = blk.la + blk.lb
-        combos = hermite_combos(l_tot)
-        e3 = _e3_components(ex, blk.la, blk.lb, combos, weights=blk.cc)
+        nk = ncombos(l_tot)
+        e3 = _e3(blk, ex)[0]
         # R over prim x nucleus, scaled by 2 pi / p (-Z_C comes below)
         natm = self.charges.size
         npair, k2 = blk.npair, blk.k2
@@ -634,55 +715,34 @@ class IntegralEngine:
         r *= 2.0 * math.pi / p_rep
         # per pair and nucleus: sum over primitives i and combos k of e3 R
         contrib = np.einsum(
-            "Pick,kPia->Pac", e3.reshape(npair, k2, -1, len(combos)),
-            r.reshape(len(combos), npair, k2, natm), optimize=True,
+            "Pick,kPia->Pac", e3.reshape(npair, k2, -1, nk),
+            r.reshape(nk, npair, k2, natm), optimize=True,
         )
-        self._record_class_gemm(npair, natm, e3.shape[1], k2 * len(combos))
+        self._record_class_gemm(npair, natm, e3.shape[1], k2 * nk)
         na = len(components(blk.la))
         nb = len(components(blk.lb))
         if per_atom:
-            out = np.empty((natm, blk.npair, na, nb))
-            for c in range(natm):
-                out[c] = (-self.charges[c]) * contrib[:, c, :].reshape(
-                    blk.npair, na, nb
-                )
-            return out
+            return ((-self.charges)[:, None, None] * contrib.transpose(
+                1, 0, 2)).reshape(natm, npair, na, nb)
         total = -(contrib * self.charges[None, :, None]).sum(axis=1)
         return total.reshape(blk.npair, na, nb)
 
     def dipole(self, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
-        """Dipole moment integrals <mu| r_d - origin_d |nu>, shape (3, nbf, nbf)."""
+        """Dipole moment integrals <mu| r_d - origin_d |nu>, shape (3, nbf, nbf).
+
+        The overlap kernel with dimension d's t = 0 column swapped for
+        the moment E^1 + (P_d - C_d) E^0 (E built with db=1, so the t = 1
+        column exists and is zero where i + j = 0)."""
         origin = np.asarray(origin, dtype=float).reshape(3)
         out = np.zeros((3, self.nbf, self.nbf))
         for blk in self.blocks:
-            ex = blk.e_tensors()
-            comps_a = components(blk.la)
-            comps_b = components(blk.lb)
-            pref = (math.pi / blk.p) ** 1.5 * blk.cc
+            ex = blk.e_tensors(db=1)
             for d in range(3):
-                vals = np.empty((blk.npair, len(comps_a), len(comps_b)))
-                shift = blk.pc[:, d] - origin[d]
-                for ia, ca in enumerate(comps_a):
-                    for ib, cb in enumerate(comps_b):
-                        e_parts = []
-                        for dim in range(3):
-                            e0 = ex[dim][:, ca[dim], cb[dim], 0]
-                            if dim == d:
-                                # moment: E^1 + (P_d - C_d) E^0
-                                lmax = ca[dim] + cb[dim]
-                                e1 = (
-                                    ex[dim][:, ca[dim], cb[dim], 1]
-                                    if lmax >= 1
-                                    else np.zeros_like(e0)
-                                )
-                                e_parts.append(e1 + shift * e0)
-                            else:
-                                e_parts.append(e0)
-                        prim = e_parts[0] * e_parts[1] * e_parts[2] * pref
-                        vals[:, ia, ib] = prim.reshape(blk.npair, blk.k2).sum(axis=1)
-                self._record_class_gemm(
-                    blk.npair, len(comps_a) * len(comps_b), 1, blk.k2
-                )
+                shift = (blk.pc[:, d] - origin[d])[:, None, None, None]
+                moment = ex[d][..., 1:2] + shift * ex[d][..., :1]
+                vals = _overlap_block(blk, [moment if k == d else e
+                                            for k, e in enumerate(ex)])
+                self._record_one_electron(blk)
                 scatter_symmetric(out[d], blk, vals)
         return out
 
@@ -696,7 +756,21 @@ class IntegralEngine:
 
         kernel_seam().record_contraction(batch, m, n, k)
 
+    def _record_one_electron(self, blk: PairBlock) -> None:
+        """Account one one-electron class contraction (primitives summed)."""
+        self._record_class_gemm(blk.npair, blk.dims[1] * blk.dims[2], 1,
+                                blk.k2)
+
     # -- two-electron: generic Coulomb interaction of two pair sets ---------
+
+    def _plain_operands(self, blk: PairBlock, bound: bool = False
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """A block's plain bra E3, its signed ket E3 and, with ``bound``,
+        its Schwarz bound vector, all from one E build."""
+        e3 = _e3(blk, blk.e_tensors())
+        e3s = _signed(blk, e3)
+        q = self._schwarz_block(blk, e3[0], e3s[0]) if bound else None
+        return e3, e3s, q
 
     def coulomb_block(self, bra: PairBlock, ket: PairBlock,
                       q_bra: np.ndarray | None = None,
@@ -713,8 +787,34 @@ class IntegralEngine:
         bound product stays below the cutoff are skipped; their output
         entries are exact zeros bounded by the cutoff.
         """
-        na, nb_ = len(components(bra.la)), len(components(bra.lb))
-        nc, nd = len(components(ket.la)), len(components(ket.lb))
+        vals = self._coulomb(bra, self._plain_operands(bra)[0], ket,
+                             self._plain_operands(ket)[1], q_bra, q_ket)
+        return vals.reshape(*bra.dims, *ket.dims)
+
+    def coulomb_block_deriv(self, bra: PairBlock, ket: PairBlock) -> np.ndarray:
+        """Bra-a-center derivative of the Coulomb interaction.
+
+        Returns shape ``(3, npair_bra, na, nb, npair_ket, nc, nd)`` —
+        one slab per derivative direction.
+        """
+        e3d = _e3(bra, bra.e_tensors(da=1), centres=(0,))
+        out = self._coulomb_core(bra, ket,
+                                 [(e3d, self._plain_operands(ket)[1])])[0]
+        return out.reshape(3, *bra.dims, *ket.dims)
+
+    def _coulomb(self, bra: PairBlock, e3b: np.ndarray, ket: PairBlock,
+                 e3k: np.ndarray, q_bra: np.ndarray | None = None,
+                 q_ket: np.ndarray | None = None) -> np.ndarray:
+        """Plain (bra|ket) of one block pair, Schwarz-screened.
+
+        ``e3b`` is the bra's plain E3 and ``e3k`` the ket's signed E3,
+        both ``(1, nprim, n, ncombos)``. With bounds and a positive
+        cutoff, only the surviving pairs are contracted: their E3 rows
+        are sliced out by primitive, as :meth:`PairBlock.subset` slices
+        the block. Returns ``(npair_bra, nab, npair_ket, ncd)``.
+        """
+        nab = e3b.shape[2]
+        ncd = e3k.shape[2]
         cut = self.schwarz_cutoff
         if cut > 0.0 and q_bra is not None and q_ket is not None:
             stats = self.screen_stats
@@ -731,106 +831,59 @@ class IntegralEngine:
             reg.inc("eri.pair_combinations_evaluated", n_eval)
             reg.inc("eri.pair_combinations_screened", n_total - n_eval)
             if n_eval == 0:
-                return np.zeros((bra.npair, na, nb_, ket.npair, nc, nd))
+                return np.zeros((bra.npair, nab, ket.npair, ncd))
             if keep_b.size < bra.npair or keep_k.size < ket.npair:
-                # recursive call without bounds: evaluates the survivors
-                # and touches no counters
-                sub = self.coulomb_block(bra.subset(keep_b),
-                                         ket.subset(keep_k))
-                out = np.zeros((bra.npair, na, nb_, ket.npair, nc, nd))
-                out[np.ix_(keep_b, np.arange(na), np.arange(nb_), keep_k)] = sub
+                sub = self._coulomb_core(
+                    bra.subset(keep_b), ket.subset(keep_k),
+                    [(bra.prim_rows(e3b[0], keep_b)[None],
+                      ket.prim_rows(e3k[0], keep_k)[None])])[0][0]
+                out = np.zeros((bra.npair, nab, ket.npair, ncd))
+                out[np.ix_(keep_b, np.arange(nab), keep_k)] = sub
                 return out
-        la, lb = bra.la, bra.lb
-        lbra = la + lb
-        e3b = _e3_components(bra.e_tensors(), la, lb, hermite_combos(lbra),
-                             weights=bra.cc)
-        out = self._coulomb_core(bra, ket, e3b[None, :, :, :], lbra)[0]
-        return out.reshape(bra.npair, na, nb_, ket.npair, nc, nd)
-
-    def coulomb_block_deriv(self, bra: PairBlock, ket: PairBlock) -> np.ndarray:
-        """Bra-a-center derivative of the Coulomb interaction.
-
-        Returns shape ``(3, npair_bra, na, nb, npair_ket, nc, nd)`` —
-        one slab per derivative direction.
-        """
-        la, lb = bra.la, bra.lb
-        lbra = la + lb + 1
-        exb = bra.e_tensors(da=1)
-        e3d = _e3_deriv_components(exb, bra.a, la, lb, hermite_combos(lbra),
-                                   weights=bra.cc)
-        out = self._coulomb_core(bra, ket, e3d, lbra)
-        na, nb_ = len(components(la)), len(components(lb))
-        nc, nd = len(components(ket.la)), len(components(ket.lb))
-        return out.reshape(3, bra.npair, na, nb_, ket.npair, nc, nd)
+        return self._coulomb_core(bra, ket, [(e3b, e3k)])[0][0]
 
     def _coulomb_core(
         self,
         bra: PairBlock,
         ket: PairBlock,
-        e3b: np.ndarray,
-        lbra: int,
-        ket_stack: np.ndarray | None = None,
+        terms: list[tuple[np.ndarray, np.ndarray]],
         element_budget: int = 400_000,
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Shared Coulomb contraction over stacked bra E3 variants.
+    ) -> list[np.ndarray]:
+        """Coulomb contractions of one block pair sharing each R chunk.
 
-        ``e3b`` has shape (nvariants, nprim_bra, nab, ncombos_b) over
-        ``hermite_combos(lbra)``. Both sides are chunked so the cross R
-        tensor stays within the element budget (times the Hermite
-        component count). Returns (nvariants, npair_bra, nab,
-        npair_ket, ncd).
+        Each term is a (bra E3, signed ket E3) pair of :func:`_e3` /
+        :func:`_signed` stacks, shapes ``(xb, nprim_bra, nab, ncb)`` and
+        ``(xk, nprim_ket, ncd, nck)``; every term's two Hermite orders
+        add up to the same total, so one R(P - Q) chunk serves them
+        all. Returns one ``(xb * xk, npair_bra, nab, npair_ket, ncd)``
+        array per term (one side of a term is always plain: xb or xk is
+        1). Both sides are chunked so the cross R tensor stays within
+        the element budget (times the Hermite component count).
 
         Per chunk, R is built once in the compact layout, scaled by the
-        Coulomb prefactor, and gathered to the (bra combo, ket combo)
-        table. The contraction
-        ``xPiak,kmPiQj,Qjcm->xPaQc`` (bra pair P, its primitive i, ket
-        pair Q, its primitive j) sums both primitive axes inside its two
-        GEMMs, so no per-primitive value is ever formed.
-
-        ``ket_stack`` optionally holds unsigned ket E3 variants
-        (nvariants_k, nprim_ket, ncd, ncombos) over
-        ``hermite_combos(ket.la + ket.lb + 1)``, i.e. ket derivatives
-        while ``e3b`` holds bra derivatives. The same R(P-Q) chunk then
-        also gives the swapped orientation (ket variant | plain bra):
-        R_tuv(Q-P) = (-1)^(t+u+v) R_tuv(P-Q), so the ket variants take
-        the sign and the plain bra E3 does not. The second result is
-        (nvariants_k, npair_bra, nab, npair_ket, ncd) and the method
-        returns both.
+        Coulomb prefactor, and gathered to each term's (bra combo, ket
+        combo) table. The contraction
+        ``xPiak,kmPiQj,yQjcm->xyPaQc`` (bra pair P, its primitive i,
+        ket pair Q, its primitive j) sums both primitive axes inside
+        its two GEMMs, so no per-primitive value is ever formed.
         """
-        lket = ket.la + ket.lb
-        e3k = _e3_components(
-            ket.e_tensors(), ket.la, ket.lb, hermite_combos(lket), sign=True,
-            weights=ket.cc,
-        )
-        nvar, _, nab, ncb = e3b.shape
-        ncd, nck = e3k.shape[1:]
+        nab = bra.dims[1] * bra.dims[2]
+        ncd = ket.dims[1] * ket.dims[2]
         k2b, k2k = bra.k2, ket.k2
         npk, nkp = ket.npair, ket.nprim
-        # GEMM operands: bra (P, x a, i k) and ket (Q, m j, c)
-        e3b = e3b.reshape(nvar, bra.npair, k2b, nab, ncb).transpose(
-            1, 0, 3, 2, 4).reshape(bra.npair, nvar * nab, k2b * ncb)
-        e3k = e3k.reshape(npk, k2k, ncd, nck).transpose(0, 3, 1, 2).reshape(
-            npk, nck * k2k, ncd)
-        ltot = lbra + lket
-        gather = _combined_index(lbra, lket)
-        out = np.empty((nvar, bra.npair, nab, npk, ncd))
-        if ket_stack is not None:
-            lb0 = lbra - 1
-            e3b0 = _e3_components(
-                bra.e_tensors(), bra.la, bra.lb, hermite_combos(lb0),
-                weights=bra.cc,
-            )
-            ncb0 = e3b0.shape[2]
-            e3b0 = e3b0.reshape(bra.npair, k2b, nab, ncb0).transpose(
-                0, 2, 1, 3).reshape(bra.npair, nab, k2b * ncb0)
-            parity = np.array([(-1.0) ** sum(c)
-                               for c in hermite_combos(lket + 1)])
-            nvk, _, _, nckd = ket_stack.shape
-            e3kd = (ket_stack * parity).reshape(
-                nvk, npk, k2k, ncd, nckd).transpose(1, 4, 2, 0, 3).reshape(
-                npk, nckd * k2k, nvk * ncd)
-            gather_k = _combined_index(lb0, lket + 1)
-            out_k = np.empty((nvk, bra.npair, nab, npk, ncd))
+        plans, outs = [], []
+        for e3b, e3k in terms:
+            lb_, lk_ = _lherm(bra, e3b), _lherm(ket, e3k)
+            xb, xk = e3b.shape[0], e3k.shape[0]
+            ncb, nck = ncombos(lb_), ncombos(lk_)
+            # GEMM operands: bra (P, x a, i k) and ket (Q, m j, y c)
+            b = e3b.reshape(xb, bra.npair, k2b, nab, ncb).transpose(
+                1, 0, 3, 2, 4).reshape(bra.npair, xb * nab, k2b * ncb)
+            k = e3k.reshape(xk, npk, k2k, ncd, nck).transpose(
+                1, 4, 2, 0, 3).reshape(npk, nck * k2k, xk * ncd)
+            plans.append((b, k, _combined_index(lb_, lk_), xb, xk, ncb, nck))
+            outs.append(np.empty((xb, xk, bra.npair, nab, npk, ncd)))
+            ltot = lb_ + lk_
         bchunk = max(1, element_budget // max(1, nkp))
         npairs_per_chunk = max(1, bchunk // k2b)
         for start in range(0, bra.npair, npairs_per_chunk):  # qf: shell-loop — chunked over the element budget; body vectorized
@@ -850,30 +903,19 @@ class IntegralEngine:
             rt = np.multiply(r.reshape(-1, nbp, nkp).transpose(1, 0, 2),
                              pref[:, None, :], order="C")
             del r
-            # (P, x a, i k) @ (P, i k, m Q j): bra primitives and combos
-            t1 = e3b[start:stop] @ rt.take(gather, axis=1).reshape(
-                npb, k2b * ncb, nck * nkp)
-            # (Q, P x a, m j) @ (Q, m j, c): ket primitives and combos
-            t1 = t1.reshape(npb * nvar * nab, nck, npk, k2k).transpose(
-                2, 0, 1, 3).reshape(npk, npb * nvar * nab, nck * k2k)
-            out[:, start:stop] = (t1 @ e3k).reshape(
-                npk, npb, nvar, nab, ncd).transpose(2, 1, 3, 0, 4)
-            self._record_class_gemm(npb, nvar * nab, nck * nkp, k2b * ncb)
-            self._record_class_gemm(npk, npb * nvar * nab, ncd, nck * k2k)
-            if ket_stack is None:
-                continue
-            # the (ket variant | plain bra) twin: Piak,kmPiQj,yQjcm->yPaQc
-            t1 = e3b0[start:stop] @ rt.take(gather_k, axis=1).reshape(
-                npb, k2b * ncb0, nckd * nkp)
-            t1 = t1.reshape(npb * nab, nckd, npk, k2k).transpose(
-                2, 0, 1, 3).reshape(npk, npb * nab, nckd * k2k)
-            out_k[:, start:stop] = (t1 @ e3kd).reshape(
-                npk, npb, nab, nvk, ncd).transpose(3, 1, 2, 0, 4)
-            self._record_class_gemm(npb, nab, nckd * nkp, k2b * ncb0)
-            self._record_class_gemm(npk, npb * nab, nvk * ncd, nckd * k2k)
-        if ket_stack is None:
-            return out
-        return out, out_k
+            for (b, k, gather, xb, xk, ncb, nck), out in zip(plans, outs):
+                # (P, x a, i k) @ (P, i k, m Q j): bra primitives and combos
+                t1 = b[start:stop] @ rt.take(gather, axis=1).reshape(
+                    npb, k2b * ncb, nck * nkp)
+                # (Q, P x a, m j) @ (Q, m j, y c): ket primitives and combos
+                t1 = t1.reshape(npb * xb * nab, nck, npk, k2k).transpose(
+                    2, 0, 1, 3).reshape(npk, npb * xb * nab, nck * k2k)
+                out[:, :, start:stop] = (t1 @ k).reshape(
+                    npk, npb, xb, nab, xk, ncd).transpose(2, 4, 1, 3, 0, 5)
+                self._record_class_gemm(npb, xb * nab, nck * nkp, k2b * ncb)
+                self._record_class_gemm(npk, npb * xb * nab, xk * ncd,
+                                        nck * k2k)
+        return [out.reshape(-1, bra.npair, nab, npk, ncd) for out in outs]
 
     def eri(self) -> np.ndarray:
         """Exact ERI tensor (chemists' notation (ab|cd)), full nbf^4.
@@ -886,17 +928,222 @@ class IntegralEngine:
         nbf = self.nbf
         with get_tracer().span("integrals.eri", nbf=nbf):
             out = np.zeros((nbf, nbf, nbf, nbf))
-            bounds = (
-                self._bounds_self() if self.schwarz_cutoff > 0.0
-                else [None] * len(self.blocks)
+            blocks = self.blocks
+            ops = [self._plain_operands(blk, self.schwarz_cutoff > 0.0)
+                   for blk in blocks]
+            for bi, (bra, (e3b, _, q_bra)) in enumerate(zip(blocks, ops)):
+                for ket, (_, e3k, q_ket) in zip(blocks[bi:], ops[bi:]):
+                    vals = self._coulomb(bra, e3b, ket, e3k, q_bra, q_ket)
+                    scatter_eri(out, bra, ket,
+                                vals.reshape(*bra.dims, *ket.dims))
+        return out
+
+    # -- density fitting ------------------------------------------------------
+
+    def three_center(self, aux_blocks: list[PairBlock], naux: int
+                     ) -> np.ndarray:
+        """Three-center integrals (ab|P), shape (nbf, nbf, naux).
+
+        ``aux_blocks`` are :func:`single_shell_blocks` of the auxiliary
+        basis. With a positive :attr:`schwarz_cutoff`, (ab|P) is
+        screened by sqrt((ab|ab)) sqrt((P|P)): orbital pairs with
+        negligible pair density never touch any auxiliary function,
+        which is where production fragments spend their integral time.
+        """
+        out = np.zeros((self.nbf, self.nbf, naux))
+        screen = self.schwarz_cutoff > 0.0
+        kets = [self._plain_operands(blk, screen)[1:] for blk in aux_blocks]
+        for bra in self.blocks:
+            e3b, _, q_bra = self._plain_operands(bra, screen)
+            for ket, (e3k, q_ket) in zip(aux_blocks, kets):
+                vals = self._coulomb(bra, e3b, ket, e3k, q_bra, q_ket)
+                scatter_pairs_aux(out, bra, ket,
+                                  vals.reshape(*bra.dims, ket.npair, -1))
+        return out
+
+    def two_center(self, aux_blocks: list[PairBlock], naux: int
+                   ) -> np.ndarray:
+        """Two-center Coulomb metric (P|Q), shape (naux, naux)."""
+        out = np.zeros((naux, naux))
+        ops = [self._plain_operands(blk) for blk in aux_blocks]
+        for i, (bra, (e3b, _, _)) in enumerate(zip(aux_blocks, ops)):
+            for ket, (_, e3k, _) in zip(aux_blocks[i:], ops[i:]):
+                scatter_metric(out, bra, ket, self._coulomb(bra, e3b, ket, e3k))
+        return out
+
+    # -- derivative integrals (bra-slot convention) ---------------------------
+    #
+    # All derivative builders return arrays D[x, mu, nu, ...] where the
+    # entry is the derivative of the integral with bra function mu and
+    # ket function nu with respect to the *center of mu's shell* ("bra
+    # slot"). The derivative with respect to the ket center follows from
+    # symmetry: d(mu nu)/dB = D[x, nu, mu] for symmetric operators (S,
+    # T, V, and the 3-center bra pair). Gradient assembly in
+    # repro.dfpt.gradient sums the slots belonging to each atom.
+
+    def _ordered(self) -> list[PairBlock]:
+        """Blocks of all ordered (i, j) shell pairs, built once."""
+        if not hasattr(self, "_ordered_cache"):
+            shells = self.basis.shells
+            pairs = [(i, j) for i in range(len(shells))
+                     for j in range(len(shells))]
+            self._ordered_cache = build_pair_blocks(
+                shells, self.basis.offsets, pairs, canonicalize=False
             )
-            for bi, bra in enumerate(self.blocks):
-                for ki, ket in enumerate(self.blocks):
-                    if ki < bi:
-                        continue
-                    vals = self.coulomb_block(bra, ket, q_bra=bounds[bi],
-                                              q_ket=bounds[ki])
-                    scatter_eri(out, bra, ket, vals)
+        return self._ordered_cache
+
+    def overlap_deriv(self) -> np.ndarray:
+        """dS[x, mu, nu] = dS_{mu nu}/d(bra center), shape (3, nbf, nbf)."""
+        out = np.zeros((3, self.nbf, self.nbf))
+        for blk in self._ordered():
+            ex = blk.e_tensors(da=1)
+            for d in range(3):
+                scatter_ordered(out[d], blk,
+                                _overlap_block(blk, _swapped(ex, blk, d)))
+        return out
+
+    def kinetic_deriv(self) -> np.ndarray:
+        """dT[x, mu, nu] under the bra-slot convention."""
+        out = np.zeros((3, self.nbf, self.nbf))
+        for blk in self._ordered():
+            ex = blk.e_tensors(da=1, db=2)
+            for d in range(3):
+                scatter_ordered(out[d], blk,
+                                _kinetic_block(blk, _swapped(ex, blk, d)))
+        return out
+
+    def nuclear_deriv(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nuclear-attraction derivatives.
+
+        Returns ``(dv_bra, dv_nuc)``:
+
+        * ``dv_bra[x, mu, nu]`` — bra-slot derivative summed over nuclei,
+        * ``dv_nuc[x, C, mu, nu]`` — Hellmann–Feynman derivative with
+          respect to nucleus C's position (operator-center derivative,
+          obtained from the raised-index Hermite Coulomb tensor).
+        """
+        natm = self.charges.size
+        dv_bra = np.zeros((3, self.nbf, self.nbf))
+        dv_nuc = np.zeros((3, natm, self.nbf, self.nbf))
+        for blk in self._ordered():
+            la, lb = blk.la, blk.lb
+            l_tot = la + lb + 1
+            nk = ncombos(l_tot)
+            nk0 = ncombos(la + lb)
+            ex = blk.e_tensors(da=1)
+            e3d = _e3(blk, ex, centres=(0,))
+            e3p = _e3(blk, ex)[0]
+            npair, k2 = blk.npair, blk.k2
+            pc = blk.pc[:, None, :] - self.coords[None, :, :]
+            p_rep = np.repeat(blk.p, natm)
+            # one extra index for both the bra-derivative (l_tot) and the
+            # operator derivative (raised index on the plain combos)
+            r = hermite_coulomb_vec(l_tot, p_rep, pc.reshape(-1, 3))
+            r *= 2.0 * math.pi / p_rep
+            na = len(components(la))
+            nb = len(components(lb))
+
+            # bra-slot derivative, primitives folded into the contraction
+            contrib = np.einsum(
+                "dPick,kPia->dPac",
+                e3d.reshape(3, npair, k2, -1, nk),
+                r.reshape(nk, npair, k2, natm), optimize=True,
+            )
+            total = -(contrib * self.charges[None, None, :, None]).sum(axis=2)
+            for d in range(3):
+                scatter_ordered(dv_bra[d], blk, total[d].reshape(npair, na, nb))
+
+            # Hellmann-Feynman: d/dCx R_tuv(P - C) = -(-R_{t+1,u,v}) = R with
+            # raised index and opposite sign of the P-derivative
+            rr = r[_raised_index(la + lb)]           # (3, ncombos0, nprim*natm)
+            contrib = np.einsum(
+                "Pick,dkPia->dPac",
+                e3p.reshape(npair, k2, -1, nk0),
+                rr.reshape(3, nk0, npair, k2, natm), optimize=True,
+            )
+            for d in range(3):
+                for c in range(natm):
+                    # V = -Z (ab|C); d/dC = -Z * (+R_{raised}) ... sign: the
+                    # R tensor is built on (P - C), so d/dCx = -d/d(PC)_x,
+                    # and d/d(PC)_x R_tuv = R_{t+1,u,v}. Hence total sign +Z.
+                    vals = self.charges[c] * contrib[d, :, c, :].reshape(
+                        npair, na, nb
+                    )
+                    scatter_ordered(dv_nuc[d, c], blk, vals)
+        return dv_bra, dv_nuc
+
+    def three_center_deriv(self, aux_blocks: list[PairBlock], naux: int
+                           ) -> np.ndarray:
+        """d(ab|P)/d(center of a), shape (3, nbf, nbf, naux).
+
+        Covers all ordered (a, b) from the canonical (i <= j) pairs with
+        fused dA/dB variants: the [nu, mu] entries come from the dB slabs
+        transposed. The aux-center derivative follows from translational
+        invariance: d/dP = -(d/dA + d/dB).
+        """
+        out = np.zeros((3, self.nbf, self.nbf, naux))
+        kets = [self._plain_operands(blk)[1] for blk in aux_blocks]
+        for bra in self.blocks:
+            stack = _e3(bra, bra.e_tensors(da=1, db=1), centres=(0, 1))
+            for ket, e3k in zip(aux_blocks, kets):
+                vals = self._coulomb_core(bra, ket, [(stack, e3k)])[0]
+                vals = vals.reshape(6, *bra.dims, ket.npair, -1)
+                for d in range(3):
+                    scatter_pairs_aux(out[d], bra, ket, vals[d],
+                                      vals_t=vals[3 + d])
+        return out
+
+    def two_center_deriv(self, aux_blocks: list[PairBlock], naux: int
+                         ) -> np.ndarray:
+        """d(P|Q)/d(center of P), shape (3, naux, naux), all ordered (P, Q)."""
+        out = np.zeros((3, naux, naux))
+        ops = []
+        for blk in aux_blocks:
+            ex = blk.e_tensors(da=1)
+            ops.append((_e3(blk, ex, centres=(0,)), _signed(blk, _e3(blk, ex))))
+        for bra, (e3d, _) in zip(aux_blocks, ops):
+            for ket, (_, e3k) in zip(aux_blocks, ops):
+                vals = self._coulomb_core(bra, ket, [(e3d, e3k)])[0]
+                for d in range(3):
+                    scatter_pairs_2c(out[d], bra, ket, vals[d])
+        return out
+
+    def eri_deriv(self) -> np.ndarray:
+        """dA-slot derivative of the exact ERI tensor.
+
+        Shape (3, nbf, nbf, nbf, nbf): entry [x, mu, nu, lm, sg] is
+        d(mu nu|lm sg)/d(center of mu). Each unordered pair of canonical
+        blocks (bra <= ket) shares one Hermite Coulomb tensor per chunk,
+        which yields all four center derivatives: the fused dA/dB stack
+        of the bra against the plain ket, and for bra != ket a second
+        term, the plain bra against the ket's fused dC/dD stack, i.e.
+        the slots of (ket|bra). Small systems only (nbf^4 memory).
+        """
+        nbf = self.nbf
+        out = np.zeros((3, nbf, nbf, nbf, nbf))
+        blocks = self.blocks
+        # per block: dA/dB stack and plain E3, each in bra and ket form
+        ops = []
+        for blk in blocks:
+            ex = blk.e_tensors(da=1, db=1)
+            stack, plain = _e3(blk, ex, centres=(0, 1)), _e3(blk, ex)
+            ops.append((stack, plain, _signed(blk, stack),
+                        _signed(blk, plain)))
+        for bi, (bra, (stack_b, plain_b, _, _)) in enumerate(zip(blocks, ops)):
+            for ket, (_, _, stack_k, plain_k) in zip(blocks[bi:], ops[bi:]):
+                shape = (6, *bra.dims, *ket.dims)
+                # (bra|bra) already covers every ordered pair combination
+                terms = [(stack_b, plain_k)]
+                if ket is not bra:
+                    terms.append((plain_b, stack_k))
+                vals = self._coulomb_core(bra, ket, terms)
+                scatter_eri_deriv_ab(out, bra, ket, vals[0].reshape(shape))
+                if ket is not bra:
+                    # (6, bra pair, ab, ket pair, cd) -> ket-major for (ket|bra)
+                    scatter_eri_deriv_ab(
+                        out, ket, bra,
+                        vals[1].reshape(shape).transpose(0, 4, 5, 6, 1, 2, 3),
+                    )
         return out
 
 
@@ -943,375 +1190,3 @@ def single_shell_blocks(shells: list[Shell], offsets: list[int]) -> list[PairBlo
             )
         )
     return blocks
-
-
-def _e3_deriv_components(
-    ex: list[np.ndarray],
-    exps_a: np.ndarray,
-    la: int,
-    lb: int,
-    combos: tuple[tuple[int, int, int], ...],
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Bra-center derivative E3 tensors.
-
-    ``ex`` must be built with ``da=1`` (index room for la+1). Uses
-    dE(i,j,t)/dAx = 2a E(i+1,j,t) - i E(i-1,j,t) in the derivative
-    dimension, plain E elsewhere. Returns shape
-    ``(3, nprim, ncomp_a*ncomp_b, ncombos)``.
-    """
-    comps_a = components(la)
-    comps_b = components(lb)
-    nprim = ex[0].shape[0]
-    out = np.zeros((3, nprim, len(comps_a) * len(comps_b), len(combos)))
-    for ia, ca in enumerate(comps_a):
-        for ib, cb in enumerate(comps_b):
-            col = ia * len(comps_b) + ib
-            # per-dimension plain and derivative 1D coefficient vectors
-            for k, (t, u, v) in enumerate(combos):
-                tuv = (t, u, v)
-                for d in range(3):
-                    # derivative acts on dimension d
-                    parts = []
-                    ok = True
-                    for dim in range(3):
-                        i_a, i_b, herm = ca[dim], cb[dim], tuv[dim]
-                        if dim == d:
-                            if herm > i_a + i_b + 1:
-                                ok = False
-                                break
-                            val = 2.0 * exps_a * ex[dim][:, i_a + 1, i_b, herm]
-                            if i_a > 0:
-                                val = val - i_a * ex[dim][:, i_a - 1, i_b, herm]
-                        else:
-                            if herm > i_a + i_b:
-                                ok = False
-                                break
-                            val = ex[dim][:, i_a, i_b, herm]
-                        parts.append(val)
-                    if not ok:
-                        continue
-                    out[d, :, col, k] = parts[0] * parts[1] * parts[2]
-    if weights is not None:
-        out *= weights[None, :, None, None]
-    return out
-
-
-def _e3_deriv_components_b(
-    ex: list[np.ndarray],
-    exps_b: np.ndarray,
-    la: int,
-    lb: int,
-    combos: tuple[tuple[int, int, int], ...],
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Ket-center derivative E3 tensors (dE/dBx = 2b E(i,j+1,t) - j E(i,j-1,t)).
-
-    ``ex`` must be built with ``db=1``. Shape (3, nprim, nab, ncombos).
-    """
-    comps_a = components(la)
-    comps_b = components(lb)
-    nprim = ex[0].shape[0]
-    out = np.zeros((3, nprim, len(comps_a) * len(comps_b), len(combos)))
-    for ia, ca in enumerate(comps_a):
-        for ib, cb in enumerate(comps_b):
-            col = ia * len(comps_b) + ib
-            for k, (t, u, v) in enumerate(combos):
-                tuv = (t, u, v)
-                for d in range(3):
-                    parts = []
-                    ok = True
-                    for dim in range(3):
-                        i_a, i_b, herm = ca[dim], cb[dim], tuv[dim]
-                        if dim == d:
-                            if herm > i_a + i_b + 1:
-                                ok = False
-                                break
-                            val = 2.0 * exps_b * ex[dim][:, i_a, i_b + 1, herm]
-                            if i_b > 0:
-                                val = val - i_b * ex[dim][:, i_a, i_b - 1, herm]
-                        else:
-                            if herm > i_a + i_b:
-                                ok = False
-                                break
-                            val = ex[dim][:, i_a, i_b, herm]
-                        parts.append(val)
-                    if not ok:
-                        continue
-                    out[d, :, col, k] = parts[0] * parts[1] * parts[2]
-    if weights is not None:
-        out *= weights[None, :, None, None]
-    return out
-
-
-def _e3_deriv_ab_stack(blk: PairBlock) -> np.ndarray:
-    """Fused d/dA, d/dB E3 stack of a pair block.
-
-    Shape (6, nprim, nab, ncombos) over ``hermite_combos(la + lb + 1)``:
-    variants 0-2 are d/dA{x,y,z}, 3-5 are d/dB{x,y,z}, contraction
-    weights applied.
-    """
-    l1 = blk.la + blk.lb + 1
-    combos = hermite_combos(l1)
-    ex = blk.e_tensors(da=1, db=1)
-    e3a = _e3_deriv_components(ex, blk.a, blk.la, blk.lb, combos,
-                               weights=blk.cc)
-    e3b = _e3_deriv_components_b(ex, blk.b, blk.la, blk.lb, combos,
-                                 weights=blk.cc)
-    return np.concatenate([e3a, e3b], axis=0)
-
-
-# ---------------------------------------------------------------------------
-# derivative one-electron integrals (bra-slot convention)
-# ---------------------------------------------------------------------------
-#
-# All derivative builders return arrays D[x, mu, nu, ...] where the
-# entry is the derivative of the integral with bra function mu and ket
-# function nu with respect to the *center of mu's shell* ("bra slot").
-# The derivative with respect to the ket center follows from symmetry:
-# d(mu nu)/dB = D[x, nu, mu] for symmetric operators (S, T, V, and the
-# 3-center bra pair). Gradient assembly in repro.dfpt.gradient sums the
-# slots belonging to each atom.
-
-class _DerivMixin:
-    """Derivative integrals, mixed into IntegralEngine."""
-
-    def _ordered(self) -> list[PairBlock]:
-        """Blocks of all ordered (i, j) shell pairs, built once."""
-        if not hasattr(self, "_ordered_cache"):
-            shells = self.basis.shells
-            pairs = [(i, j) for i in range(len(shells))
-                     for j in range(len(shells))]
-            self._ordered_cache = build_pair_blocks(
-                shells, self.basis.offsets, pairs, canonicalize=False
-            )
-        return self._ordered_cache
-
-    def overlap_deriv(self) -> np.ndarray:
-        """dS[x, mu, nu] = dS_{mu nu}/d(bra center), shape (3, nbf, nbf)."""
-        out = np.zeros((3, self.nbf, self.nbf))
-        for blk in self._ordered():
-            ex = blk.e_tensors(da=1)
-            comps_a = components(blk.la)
-            comps_b = components(blk.lb)
-            pref = (math.pi / blk.p) ** 1.5 * blk.cc
-            for d in range(3):
-                vals = np.empty((blk.npair, len(comps_a), len(comps_b)))
-                for ia, ca in enumerate(comps_a):
-                    for ib, cb in enumerate(comps_b):
-                        parts = []
-                        for dim in range(3):
-                            if dim == d:
-                                v = 2.0 * blk.a * ex[dim][:, ca[dim] + 1, cb[dim], 0]
-                                if ca[dim] > 0:
-                                    v = v - ca[dim] * ex[dim][:, ca[dim] - 1, cb[dim], 0]
-                            else:
-                                v = ex[dim][:, ca[dim], cb[dim], 0]
-                            parts.append(v)
-                        prim = parts[0] * parts[1] * parts[2] * pref
-                        vals[:, ia, ib] = prim.reshape(blk.npair, blk.k2).sum(axis=1)
-                scatter_ordered(out[d], blk, vals)
-        return out
-
-    def kinetic_deriv(self) -> np.ndarray:
-        """dT[x, mu, nu] under the bra-slot convention."""
-        out = np.zeros((3, self.nbf, self.nbf))
-        for blk in self._ordered():
-            ex = blk.e_tensors(da=1, db=2)
-            comps_a = components(blk.la)
-            comps_b = components(blk.lb)
-            pref = (math.pi / blk.p) ** 1.5 * blk.cc
-
-            def ds00(axs, bxs, d):
-                parts = []
-                for dim in range(3):
-                    if dim == d:
-                        v = 2.0 * blk.a * ex[dim][:, axs[dim] + 1, bxs[dim], 0]
-                        if axs[dim] > 0:
-                            v = v - axs[dim] * ex[dim][:, axs[dim] - 1, bxs[dim], 0]
-                    else:
-                        v = ex[dim][:, axs[dim], bxs[dim], 0]
-                    parts.append(v)
-                return parts[0] * parts[1] * parts[2]
-
-            for d in range(3):
-                vals = np.empty((blk.npair, len(comps_a), len(comps_b)))
-                for ia, ca in enumerate(comps_a):
-                    for ib, cb in enumerate(comps_b):
-                        i, j, k = cb
-                        term = blk.b * (2 * (i + j + k) + 3) * ds00(ca, cb, d)
-                        for dd, inc in enumerate(((2, 0, 0), (0, 2, 0), (0, 0, 2))):
-                            cb2 = (cb[0] + inc[0], cb[1] + inc[1], cb[2] + inc[2])
-                            term = term - 2.0 * blk.b ** 2 * ds00(ca, cb2, d)
-                            if cb[dd] >= 2:
-                                cbm = (
-                                    cb[0] - inc[0], cb[1] - inc[1], cb[2] - inc[2]
-                                )
-                                term = term - 0.5 * cb[dd] * (cb[dd] - 1) * ds00(
-                                    ca, cbm, d
-                                )
-                        prim = term * pref
-                        vals[:, ia, ib] = prim.reshape(blk.npair, blk.k2).sum(axis=1)
-                scatter_ordered(out[d], blk, vals)
-        return out
-
-    def nuclear_deriv(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nuclear-attraction derivatives.
-
-        Returns ``(dv_bra, dv_nuc)``:
-
-        * ``dv_bra[x, mu, nu]`` — bra-slot derivative summed over nuclei,
-        * ``dv_nuc[x, C, mu, nu]`` — Hellmann–Feynman derivative with
-          respect to nucleus C's position (operator-center derivative,
-          obtained from the raised-index Hermite Coulomb tensor).
-        """
-        natm = self.charges.size
-        dv_bra = np.zeros((3, self.nbf, self.nbf))
-        dv_nuc = np.zeros((3, natm, self.nbf, self.nbf))
-        for blk in self._ordered():
-            la, lb = blk.la, blk.lb
-            l_tot = la + lb + 1
-            combos = hermite_combos(l_tot)
-            ex = blk.e_tensors(da=1)
-            e3d = _e3_deriv_components(ex, blk.a, la, lb, combos, weights=blk.cc)
-            combos0 = hermite_combos(la + lb)
-            e3p = _e3_components(
-                [e[:, : la + 1] for e in ex], la, lb, combos0, weights=blk.cc
-            )
-            npair, k2 = blk.npair, blk.k2
-            pc = blk.pc[:, None, :] - self.coords[None, :, :]
-            p_rep = np.repeat(blk.p, natm)
-            # one extra index for both the bra-derivative (l_tot) and the
-            # operator derivative (raised index on the plain combos)
-            r = hermite_coulomb_vec(l_tot, p_rep, pc.reshape(-1, 3))
-            r *= 2.0 * math.pi / p_rep
-            na = len(components(la))
-            nb = len(components(lb))
-
-            # bra-slot derivative, primitives folded into the contraction
-            contrib = np.einsum(
-                "dPick,kPia->dPac",
-                e3d.reshape(3, npair, k2, -1, len(combos)),
-                r.reshape(len(combos), npair, k2, natm), optimize=True,
-            )
-            total = -(contrib * self.charges[None, None, :, None]).sum(axis=2)
-            for d in range(3):
-                scatter_ordered(dv_bra[d], blk, total[d].reshape(npair, na, nb))
-
-            # Hellmann-Feynman: d/dCx R_tuv(P - C) = -(-R_{t+1,u,v}) = R with
-            # raised index and opposite sign of the P-derivative
-            rr = r[_raised_index(la + lb)]           # (3, ncombos0, nprim*natm)
-            contrib = np.einsum(
-                "Pick,dkPia->dPac",
-                e3p.reshape(npair, k2, -1, len(combos0)),
-                rr.reshape(3, len(combos0), npair, k2, natm), optimize=True,
-            )
-            for d in range(3):
-                for c in range(natm):
-                    # V = -Z (ab|C); d/dC = -Z * (+R_{raised}) ... sign: the
-                    # R tensor is built on (P - C), so d/dCx = -d/d(PC)_x,
-                    # and d/d(PC)_x R_tuv = R_{t+1,u,v}. Hence total sign +Z.
-                    vals = self.charges[c] * contrib[d, :, c, :].reshape(
-                        npair, na, nb
-                    )
-                    scatter_ordered(dv_nuc[d, c], blk, vals)
-        return dv_bra, dv_nuc
-
-    def _coulomb_block_deriv_ab(
-        self,
-        bra: PairBlock,
-        ket: PairBlock,
-        stack: np.ndarray,
-    ) -> np.ndarray:
-        """Both bra-slot derivatives in one pass (shared R tensor).
-
-        ``stack`` is ``_e3_deriv_ab_stack(bra)``, which the caller builds
-        once per bra block and reuses across kets. Returns
-        (6, npb, na, nb, npk, nc, nd): slabs 0-2 are d/dA{x,y,z}, slabs
-        3-5 are d/dB{x,y,z}. Roughly half the cost of two separate
-        ordered-pair derivative builds because the Hermite Coulomb tensor —
-        the dominant term — is computed once.
-        """
-        out = self._coulomb_core(bra, ket, stack, bra.la + bra.lb + 1)
-        na, nb_ = len(components(bra.la)), len(components(bra.lb))
-        nc, nd = len(components(ket.la)), len(components(ket.lb))
-        return out.reshape(6, bra.npair, na, nb_, ket.npair, nc, nd)
-
-    # -- density-fitting and exact-ERI derivatives ----------------------------
-
-    def three_center_deriv(self, aux_blocks: list[PairBlock], naux: int
-                           ) -> np.ndarray:
-        """d(ab|P)/d(center of a), shape (3, nbf, nbf, naux).
-
-        Covers all ordered (a, b) from the canonical (i <= j) pairs with
-        fused dA/dB variants: the [nu, mu] entries come from the dB slabs
-        transposed. The aux-center derivative follows from translational
-        invariance: d/dP = -(d/dA + d/dB).
-        """
-        out = np.zeros((3, self.nbf, self.nbf, naux))
-        for bra in self.blocks:
-            stack = _e3_deriv_ab_stack(bra)
-            for ket in aux_blocks:
-                vals = self._coulomb_block_deriv_ab(bra, ket, stack)
-                for d in range(3):
-                    scatter_pairs_aux(out[d], bra, ket,
-                                      vals[d, :, :, :, :, :, 0],
-                                      vals_t=vals[3 + d, :, :, :, :, :, 0])
-        return out
-
-    def two_center_deriv(self, aux_blocks: list[PairBlock], naux: int
-                         ) -> np.ndarray:
-        """d(P|Q)/d(center of P), shape (3, naux, naux), all ordered (P, Q)."""
-        out = np.zeros((3, naux, naux))
-        for bra in aux_blocks:
-            for ket in aux_blocks:
-                vals = self.coulomb_block_deriv(bra, ket)
-                for d in range(3):
-                    scatter_pairs_2c(out[d], bra, ket,
-                                     vals[d, :, :, 0, :, :, 0])
-        return out
-
-    def eri_deriv(self) -> np.ndarray:
-        """dA-slot derivative of the exact ERI tensor.
-
-        Shape (3, nbf, nbf, nbf, nbf): entry [x, mu, nu, lm, sg] is
-        d(mu nu|lm sg)/d(center of mu). Each unordered pair of canonical
-        blocks (bra <= ket) shares one Hermite Coulomb tensor per chunk,
-        which yields all four center derivatives: the fused dA/dB
-        stack of the bra against the ket, and for bra != ket the fused
-        dC/dD stack of the ket against the bra, i.e. the slots of
-        (ket|bra). Small systems only (nbf^4 memory).
-        """
-        nbf = self.nbf
-        out = np.zeros((3, nbf, nbf, nbf, nbf))
-        blocks = self.blocks
-        stacks = [_e3_deriv_ab_stack(blk) for blk in blocks]
-        for bi, bra in enumerate(blocks):  # qf: shell-loop — one iteration per unordered class-block pair; body vectorized
-            stack_b = stacks[bi]
-            lbra = bra.la + bra.lb + 1
-            for ki in range(bi, len(blocks)):  # qf: shell-loop — one iteration per unordered class-block pair; body vectorized
-                ket = blocks[ki]
-                shape = (6, bra.npair, len(components(bra.la)),
-                         len(components(bra.lb)), ket.npair,
-                         len(components(ket.la)), len(components(ket.lb)))
-                if ki == bi:
-                    # (bra|bra) already covers every ordered pair combination
-                    vals = self._coulomb_core(bra, ket, stack_b, lbra)
-                    scatter_eri_deriv_ab(out, bra, ket, vals.reshape(shape))
-                    continue
-                vals, vals_k = self._coulomb_core(bra, ket, stack_b, lbra,
-                                                  ket_stack=stacks[ki])
-                scatter_eri_deriv_ab(out, bra, ket, vals.reshape(shape))
-                # (6, bra pair, ab, ket pair, cd) -> ket-major for (ket|bra)
-                scatter_eri_deriv_ab(
-                    out, ket, bra,
-                    vals_k.reshape(shape).transpose(0, 4, 5, 6, 1, 2, 3),
-                )
-        return out
-
-
-# graft the mixin onto IntegralEngine (kept separate for readability)
-for _name in ("_ordered", "overlap_deriv", "kinetic_deriv", "nuclear_deriv",
-              "_coulomb_block_deriv_ab", "three_center_deriv",
-              "two_center_deriv", "eri_deriv"):
-    setattr(IntegralEngine, _name, getattr(_DerivMixin, _name))

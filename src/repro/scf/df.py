@@ -23,7 +23,6 @@ import scipy.linalg
 
 from repro.basis.gaussian import BasisSet, make_shell
 from repro.geometry.atoms import Geometry
-from repro.integrals.batched import scatter_metric, scatter_pairs_aux
 from repro.integrals.engine import IntegralEngine, single_shell_blocks
 
 
@@ -104,8 +103,8 @@ class DensityFitting:
         self.aux = aux
         self.naux = aux.nbf
         self.aux_blocks = single_shell_blocks(aux.shells, aux.offsets)
-        self.j3c = self._build_3c()
-        self.v2c = self._build_2c()
+        self.j3c = engine.three_center(self.aux_blocks, self.naux)
+        self.v2c = engine.two_center(self.aux_blocks, self.naux)
         # whiten: V = L L^T, b = j3c L^{-T}
         jitter = 0.0
         for _ in range(6):
@@ -127,36 +126,6 @@ class DensityFitting:
         #: both exchange builds
         self.b_apb = np.ascontiguousarray(
             self.b.transpose(0, 2, 1)).reshape(nbf * self.naux, nbf)
-
-    # -- integral builds ------------------------------------------------------
-
-    def _build_3c(self) -> np.ndarray:
-        nbf = self.engine.nbf
-        out = np.zeros((nbf, nbf, self.naux))
-        # Schwarz screening of (ab|P): bound sqrt((ab|ab)) sqrt((P|P)).
-        # Orbital pairs with negligible pair density never touch any
-        # auxiliary function, which is where production fragments spend
-        # their integral time.
-        screened = self.engine.schwarz_cutoff > 0.0
-        q_orb = self.engine._bounds_self() if screened else None
-        q_aux = self.engine.schwarz_bounds(self.aux_blocks) if screened else None
-        for bi, bra in enumerate(self.engine.blocks):
-            for ki, ket in enumerate(self.aux_blocks):
-                vals = self.engine.coulomb_block(
-                    bra, ket,
-                    q_bra=q_orb[bi] if screened else None,
-                    q_ket=q_aux[ki] if screened else None,
-                )
-                scatter_pairs_aux(out, bra, ket, vals[:, :, :, :, :, 0])
-        return out
-
-    def _build_2c(self) -> np.ndarray:
-        out = np.zeros((self.naux, self.naux))
-        for i, bra in enumerate(self.aux_blocks):
-            for ket in self.aux_blocks[i:]:
-                vals = self.engine.coulomb_block(bra, ket)
-                scatter_metric(out, bra, ket, vals[:, :, 0, :, :, 0])
-        return out
 
     # -- Fock builds ----------------------------------------------------------
 

@@ -85,3 +85,33 @@ def test_progress_callback(water_optimized):
     )
     assert calls[-1] == (18, 18)
     assert len(calls) == 18
+
+
+def test_unconverged_seeded_scf_is_retried_cold_and_counted(
+        water_optimized, monkeypatch):
+    """A seeded displaced SCF that comes back unconverged is rerun from
+    the core guess, and the retry is counted in ``scf.cold_retries``."""
+    import dataclasses
+
+    from repro.dfpt import hessian
+    from repro.obs.counters import counters
+
+    real_run = hessian.RHF.run
+    runs = []
+
+    def stalled_when_seeded(self, guess_density=None):
+        res = real_run(self, guess_density=guess_density)
+        runs.append(guess_density is not None)
+        if guess_density is not None:
+            res = dataclasses.replace(res, converged=False)
+        return res
+
+    geom = water_optimized.geometry
+    kwargs = {"basis_name": "sto-3g", "eri_mode": "df"}
+    guess = hessian.RHF(geom, **kwargs).run().density
+    monkeypatch.setattr(hessian.RHF, "run", stalled_when_seeded)
+    before = counters().get("scf.cold_retries")
+    res = hessian._displaced_scf(geom, 0, 2, 5e-3, guess, kwargs)
+    assert res.converged
+    assert runs == [True, False]
+    assert counters().get("scf.cold_retries") == before + 1

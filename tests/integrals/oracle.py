@@ -3,9 +3,12 @@
 :mod:`repro.integrals.batched` replaces per-pair python loops with
 numpy gathers and flat-index scatter plans. This module keeps those
 loops, one python iteration per shell pair, as the reference the engine
-is compared against bit for bit. :func:`oracle_dispatch` swaps them in
-for the batched functions wherever the engine and the density-fitting
-build look them up, so an :class:`~repro.integrals.engine.IntegralEngine`
+is compared against bit for bit. It also keeps the three loop
+builders of the Hermite product tensor E3 (one python iteration per
+component pair, Hermite combo and derivative direction), behind
+:func:`e3`, a twin of the engine's table-driven ``_e3``.
+:func:`oracle_dispatch` swaps all of them in wherever the engine looks
+them up, so an :class:`~repro.integrals.engine.IntegralEngine`
 constructed and evaluated inside it runs the loop path end to end.
 
 :func:`eri_deriv_ordered` is a value oracle rather than a loop twin: the
@@ -22,8 +25,7 @@ import numpy as np
 
 from repro.basis.gaussian import Shell
 from repro.integrals import engine as engine_module
-from repro.integrals.engine import PairBlock
-from repro.scf import df as df_module
+from repro.integrals.engine import PairBlock, components, hermite_combos
 
 
 def build_pair_blocks(
@@ -212,6 +214,156 @@ def scatter_metric(target, bra, ket, vals) -> None:
             target[oc: oc + nc, oa: oa + na] = blockv.T
 
 
+def _e3_components(
+    ex: list[np.ndarray],
+    la: int,
+    lb: int,
+    combos: tuple[tuple[int, int, int], ...],
+    sign: bool = False,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Collapse per-dimension E tensors into the product tensor.
+
+    Returns shape ``(nprim, ncomp_a * ncomp_b, ncombos)`` where entry
+    ``[.., (ca, cb), k]`` is ``Ex[ia,jb,t] Ey[..] Ez[..]`` for combo
+    ``combos[k] = (t, u, v)``; multiplied by ``(-1)^{t+u+v}`` when
+    ``sign`` and by ``weights`` (e.g. contraction coefficients) if given.
+    """
+    comps_a = components(la)
+    comps_b = components(lb)
+    nprim = ex[0].shape[0]
+    out = np.zeros((nprim, len(comps_a) * len(comps_b), len(combos)))
+    for ia, (ax, ay, az) in enumerate(comps_a):
+        for ib, (bx, by, bz) in enumerate(comps_b):
+            col = ia * len(comps_b) + ib
+            for k, (t, u, v) in enumerate(combos):
+                if t > ax + bx or u > ay + by or v > az + bz:
+                    continue
+                val = ex[0][:, ax, bx, t] * ex[1][:, ay, by, u] * ex[2][:, az, bz, v]
+                if sign and (t + u + v) % 2 == 1:
+                    val = -val
+                out[:, col, k] = val
+    if weights is not None:
+        out *= weights[:, None, None]
+    return out
+
+
+def _e3_deriv_components(
+    ex: list[np.ndarray],
+    exps_a: np.ndarray,
+    la: int,
+    lb: int,
+    combos: tuple[tuple[int, int, int], ...],
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Bra-center derivative E3 tensors.
+
+    ``ex`` must be built with ``da=1`` (index room for la+1). Uses
+    dE(i,j,t)/dAx = 2a E(i+1,j,t) - i E(i-1,j,t) in the derivative
+    dimension, plain E elsewhere. Returns shape
+    ``(3, nprim, ncomp_a*ncomp_b, ncombos)``.
+    """
+    comps_a = components(la)
+    comps_b = components(lb)
+    nprim = ex[0].shape[0]
+    out = np.zeros((3, nprim, len(comps_a) * len(comps_b), len(combos)))
+    for ia, ca in enumerate(comps_a):
+        for ib, cb in enumerate(comps_b):
+            col = ia * len(comps_b) + ib
+            # per-dimension plain and derivative 1D coefficient vectors
+            for k, (t, u, v) in enumerate(combos):
+                tuv = (t, u, v)
+                for d in range(3):
+                    # derivative acts on dimension d
+                    parts = []
+                    ok = True
+                    for dim in range(3):
+                        i_a, i_b, herm = ca[dim], cb[dim], tuv[dim]
+                        if dim == d:
+                            if herm > i_a + i_b + 1:
+                                ok = False
+                                break
+                            val = 2.0 * exps_a * ex[dim][:, i_a + 1, i_b, herm]
+                            if i_a > 0:
+                                val = val - i_a * ex[dim][:, i_a - 1, i_b, herm]
+                        else:
+                            if herm > i_a + i_b:
+                                ok = False
+                                break
+                            val = ex[dim][:, i_a, i_b, herm]
+                        parts.append(val)
+                    if not ok:
+                        continue
+                    out[d, :, col, k] = parts[0] * parts[1] * parts[2]
+    if weights is not None:
+        out *= weights[None, :, None, None]
+    return out
+
+
+def _e3_deriv_components_b(
+    ex: list[np.ndarray],
+    exps_b: np.ndarray,
+    la: int,
+    lb: int,
+    combos: tuple[tuple[int, int, int], ...],
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Ket-center derivative E3 tensors (dE/dBx = 2b E(i,j+1,t) - j E(i,j-1,t)).
+
+    ``ex`` must be built with ``db=1``. Shape (3, nprim, nab, ncombos).
+    """
+    comps_a = components(la)
+    comps_b = components(lb)
+    nprim = ex[0].shape[0]
+    out = np.zeros((3, nprim, len(comps_a) * len(comps_b), len(combos)))
+    for ia, ca in enumerate(comps_a):
+        for ib, cb in enumerate(comps_b):
+            col = ia * len(comps_b) + ib
+            for k, (t, u, v) in enumerate(combos):
+                tuv = (t, u, v)
+                for d in range(3):
+                    parts = []
+                    ok = True
+                    for dim in range(3):
+                        i_a, i_b, herm = ca[dim], cb[dim], tuv[dim]
+                        if dim == d:
+                            if herm > i_a + i_b + 1:
+                                ok = False
+                                break
+                            val = 2.0 * exps_b * ex[dim][:, i_a, i_b + 1, herm]
+                            if i_b > 0:
+                                val = val - i_b * ex[dim][:, i_a, i_b - 1, herm]
+                        else:
+                            if herm > i_a + i_b:
+                                ok = False
+                                break
+                            val = ex[dim][:, i_a, i_b, herm]
+                        parts.append(val)
+                    if not ok:
+                        continue
+                    out[d, :, col, k] = parts[0] * parts[1] * parts[2]
+    if weights is not None:
+        out *= weights[None, :, None, None]
+    return out
+
+
+def e3(blk: PairBlock, ex: list[np.ndarray],
+       centres: tuple[int, ...] = ()) -> np.ndarray:
+    """Loop twin of ``repro.integrals.engine._e3``: the plain product
+    from :func:`_e3_components`, the d/dA variants from
+    :func:`_e3_deriv_components` and the d/dB ones from
+    :func:`_e3_deriv_components_b`."""
+    if not centres:
+        return _e3_components(ex, blk.la, blk.lb,
+                              hermite_combos(blk.la + blk.lb),
+                              weights=blk.cc)[None]
+    combos = hermite_combos(blk.la + blk.lb + 1)
+    loops = (_e3_deriv_components, _e3_deriv_components_b)
+    exps = (blk.a, blk.b)
+    return np.concatenate([loops[c](ex, exps[c], blk.la, blk.lb, combos,
+                                    weights=blk.cc) for c in centres])
+
+
 def eri_deriv_ordered(engine) -> np.ndarray:
     """Value oracle for :meth:`IntegralEngine.eri_deriv`.
 
@@ -251,14 +403,14 @@ _SWAPS = (
     (engine_module, "scatter_pairs_2c", scatter_pairs_2c),
     (engine_module, "scatter_eri_deriv_ab", scatter_eri_deriv_ab),
     (engine_module, "scatter_eri", scatter_eri),
-    (df_module, "scatter_pairs_aux", scatter_pairs_aux),
-    (df_module, "scatter_metric", scatter_metric),
+    (engine_module, "scatter_metric", scatter_metric),
+    (engine_module, "_e3", e3),
 )
 
 
 @contextmanager
 def oracle_dispatch():
-    """Route the engine and the DF build through the loop oracle.
+    """Route the engine (and so the DF build) through the loop oracle.
 
     Pair blocks are built (and ordered blocks cached) on first use, so
     construct *and* evaluate the oracle engine inside the block.

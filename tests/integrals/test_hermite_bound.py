@@ -39,7 +39,7 @@ def test_ncombos_counts_hermite_combos():
 def test_combined_index_within_total_order():
     """The gather tables of every (bra, ket) class: plain (integrals,
     Schwarz), bra derivative (gradients) and ket derivative
-    (``ket_stack`` of ``eri_deriv``)."""
+    (the second term of ``eri_deriv``)."""
     for la, lb, lc, ld in itertools.product(range(L_SHELL + 1), repeat=4):
         lbra, lket = la + lb, lc + ld
         for lb_, lk_ in ((lbra, lket), (lbra + 1, lket), (lbra, lket + 1)):

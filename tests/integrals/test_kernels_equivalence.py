@@ -222,3 +222,53 @@ def test_engine_records_gemm_accounting():
     eng.overlap()
     assert seam.batches_executed > before[0]
     assert seam.flops.total("useful") > before[1]
+
+
+# -- operand builds ----------------------------------------------------------
+
+@pytest.fixture
+def e_builds(monkeypatch):
+    """Count :meth:`PairBlock.e_tensors` builds per block object."""
+    from collections import Counter
+
+    from repro.integrals.engine import PairBlock
+
+    counts = Counter()
+    real = PairBlock.e_tensors
+
+    def counted(self, da=0, db=0):
+        counts[id(self)] += 1
+        return real(self, da, db)
+
+    monkeypatch.setattr(PairBlock, "e_tensors", counted)
+    return counts
+
+
+@pytest.mark.parametrize("geom", [water_molecule(), _two_p_centers()],
+                         ids=["water", "two_p_centers"])
+def test_each_block_builds_its_operands_once_per_call(geom, e_builds):
+    """Every two-electron call builds each block's E tensors once and
+    derives all its E3 operands (bra, signed ket, derivative stacks,
+    Schwarz bound) from that build, instead of once per block pair.
+    The DF build is two calls, ``three_center`` and ``two_center``, so
+    its auxiliary blocks are built twice."""
+    basis = build_basis(geom, name="sto-3g")
+    eng = IntegralEngine(basis, geom.numbers.astype(float), geom.coords,
+                         schwarz_cutoff=1e-12)
+    aux = auto_aux_basis(geom, basis)
+    orbital = dict.fromkeys(map(id, eng.blocks), 1)
+
+    def builds(call):
+        e_builds.clear()
+        result = call()
+        return result, dict(e_builds)
+
+    assert builds(eng.eri)[1] == orbital
+    df, seen = builds(lambda: DensityFitting(eng, aux))
+    aux_ids = list(map(id, df.aux_blocks))
+    assert seen == {**orbital, **dict.fromkeys(aux_ids, 2)}
+    assert builds(lambda: eng.three_center_deriv(df.aux_blocks, df.naux)
+                  )[1] == {**orbital, **dict.fromkeys(aux_ids, 1)}
+    assert builds(lambda: eng.two_center_deriv(df.aux_blocks, df.naux)
+                  )[1] == dict.fromkeys(aux_ids, 1)
+    assert builds(eng.eri_deriv)[1] == orbital

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hpc.balancer import FragmentPool, SystemSizeSensitivePolicy
 from repro.hpc.costmodel import FragmentCostModel
@@ -60,6 +60,12 @@ def test_cost_model_monotone(n):
 @given(st.integers(min_value=2, max_value=12),
        st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
+# draws whose averaged-rule nodes overshoot the spectrum by more than a
+# quarter of its width (found by a numpy replay of this strategy)
+@example(3, 2, 1694291902)
+@example(3, 2, 249788027)
+@example(4, 3, 513325946)
+@example(4, 2, 63309400)
 def test_lanczos_quadrature_weights_nonnegative(n, k, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
@@ -74,15 +80,17 @@ def test_lanczos_quadrature_weights_nonnegative(n, k, seed):
         assert w.sum() == (d @ d) * (1 + 1e-9) or abs(
             w.sum() - d @ d
         ) < 1e-6 * max(1.0, d @ d)
-        # nodes inside the spectrum interval (Gauss property). The
-        # averaged (anti-Gauss-like) rule may place its extreme nodes
-        # slightly *outside* the spectrum; that overshoot scales with
-        # the spectral width, so the slack must too (an absolute 0.5
-        # was occasionally exceeded for wide random spectra).
+        # Gauss nodes are Ritz values, inside the spectrum. The averaged
+        # rule's nodes obey the Gershgorin enclosure of T_hat: each
+        # diagonal alpha_i = q_i^T H q_i lies in [lmin, lmax]; each
+        # off-diagonal beta_i = q_{i+1}^T (H - cI) q_i (c the spectrum's
+        # midpoint, q_{i+1} orthogonal to q_i) is at most w/2, w the
+        # spectral width; a row has at most two of them, so every node
+        # lies within w of the spectrum.
         evals = np.linalg.eigvalsh(h)
         slack = 1e-6
         if averaged:
-            slack += 0.25 * float(evals.max() - evals.min())
+            slack += float(evals.max() - evals.min())
         assert theta.min() > evals.min() - slack
         assert theta.max() < evals.max() + slack
 
