@@ -18,8 +18,8 @@ same-shape GEMMs (§V-C), applied at the integral level.
 
 Validation: every public method is tested against the scalar reference
 in ``tests/integrals/mcmurchie.py`` and against finite differences, and
-the pair-block build and scatters against the loop oracle in
-``tests/integrals/oracle.py``, which also keeps the ordered-bra
+the pair-block build, the scatters and the E3 builder against the loop
+oracle in ``tests/integrals/oracle.py``, which also keeps the ordered-bra
 ``eri_deriv`` build as the value oracle of the unordered-block one.
 """
 
