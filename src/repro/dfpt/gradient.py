@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from repro.integrals.engine import BaseIntegrals
 from repro.obs.tracer import get_tracer
 from repro.scf.rhf import SCFResult
 
@@ -82,9 +83,11 @@ def _one_electron_gradient(scf: SCFResult, amap: np.ndarray) -> np.ndarray:
     return g
 
 
-def _exact_two_electron_gradient(scf: SCFResult, amap: np.ndarray) -> np.ndarray:
+def _exact_two_electron_gradient(scf: SCFResult, amap: np.ndarray,
+                                 base: BaseIntegrals | None = None
+                                 ) -> np.ndarray:
     p = scf.density
-    deri = scf.engine.eri_deriv()  # (3, n, n, n, n), bra-a slot
+    deri = scf.engine.eri_deriv(base)  # (3, n, n, n, n), bra-a slot
     gtot = (2.0 * np.einsum("mn,ls->mnls", p, p)
             - 0.5 * np.einsum("ml,ns->mnls", p, p)
             - 0.5 * np.einsum("nl,ms->mnls", p, p))
@@ -96,7 +99,9 @@ def _exact_two_electron_gradient(scf: SCFResult, amap: np.ndarray) -> np.ndarray
     return g
 
 
-def _df_two_electron_gradient(scf: SCFResult, amap: np.ndarray) -> np.ndarray:
+def _df_two_electron_gradient(scf: SCFResult, amap: np.ndarray,
+                              base: BaseIntegrals | None = None
+                              ) -> np.ndarray:
     df = scf.df
     engine = scf.engine
     p = scf.density
@@ -108,8 +113,9 @@ def _df_two_electron_gradient(scf: SCFResult, amap: np.ndarray) -> np.ndarray:
     gamma = np.einsum("abP,ab->P", a3, p)
     c = scipy.linalg.cho_solve(cho, gamma)
 
-    d3 = engine.three_center_deriv(df.aux_blocks, df.naux)  # (3,nbf,nbf,naux)
-    dv2 = engine.two_center_deriv(df.aux_blocks, df.naux)   # (3,naux,naux)
+    # (3, nbf, nbf, naux) and (3, naux, naux)
+    d3 = engine.three_center_deriv(df.aux_blocks, df.naux, base)
+    dv2 = engine.two_center_deriv(df.aux_blocks, df.naux, base)
 
     natm = scf.geometry.natoms
     g = np.zeros((natm, 3))
@@ -150,17 +156,23 @@ def _df_two_electron_gradient(scf: SCFResult, amap: np.ndarray) -> np.ndarray:
     return g
 
 
-def gradient(scf: SCFResult) -> np.ndarray:
-    """Analytic nuclear gradient dE/dR, shape (natoms, 3), hartree/bohr."""
+def gradient(scf: SCFResult, base: BaseIntegrals | None = None) -> np.ndarray:
+    """Analytic nuclear gradient dE/dR, shape (natoms, 3), hartree/bohr.
+
+    With ``base``, the two-electron derivative integrals are rebuilt only
+    where they touch the atoms ``base.moved`` and copied from ``base``
+    elsewhere (:class:`~repro.integrals.engine.BaseIntegrals`); the
+    one-electron derivatives involve every nucleus and run in full.
+    """
     if not scf.converged:
         raise ValueError("gradient requires a converged SCF result")
     with get_tracer().span("gradient", natoms=scf.geometry.natoms):
         amap = scf.basis.function_atom_map()
         g = _one_electron_gradient(scf, amap)
         if scf.eri is not None:
-            g += _exact_two_electron_gradient(scf, amap)
+            g += _exact_two_electron_gradient(scf, amap, base)
         else:
-            g += _df_two_electron_gradient(scf, amap)
+            g += _df_two_electron_gradient(scf, amap, base)
         g += nuclear_repulsion_gradient(
             scf.geometry.numbers.astype(float), scf.geometry.coords
         )

@@ -2,8 +2,8 @@
 atomic-displacement loop.
 
 This is the computational payload of the paper's worker processes: the
-leader generates one task per atomic displacement of a fragment; each
-worker runs a full SCF + gradient + CPHF at the displaced geometry.
+leader generates one task per atomic displacement of a fragment, and
+each task runs SCF + gradient + CPHF at the displaced geometry.
 Central differences of analytic gradients give the fragment Hessian
 (d^2 E / dR dR), and central differences of CPHF polarizabilities give
 the Raman tensor (d alpha / dR). Both are needed by the Eq. (1)
@@ -15,27 +15,47 @@ and the ``displacement`` executor backend
 (:mod:`repro.pipeline.executor`) ships them to a process pool, which is
 how a few large fragments are parallelized across cores.
 
-SCF seeding follows the paper's "reuse within a DFPT cycle" economies:
-the +delta run starts from the converged base density, and the -delta
-run starts from the *+delta* density (the previously converged point of
-the same coordinate), which typically saves a few DIIS iterations per
-displaced SCF. The realized savings — measured against the cold-start
-iteration count of the base SCF — are recorded in
-``meta["scf_iters_saved"]``.
+Each job follows the paper's "reuse within a DFPT cycle" economies:
+
+* **Integrals.** A job moves one atom A, so every two-electron integral
+  with no function (orbital or auxiliary) on A keeps its base-geometry
+  value. :func:`fragment_response` builds the base tensors once (the
+  exact ``eri`` and ``eri_deriv``, or the density-fitting ``j3c``,
+  ``v2c`` and their derivatives, plus the Schwarz bound tables) and
+  hands them to every job as :class:`~repro.integrals.engine.BaseIntegrals`.
+  Each displaced SCF and gradient recomputes only the elements that
+  touch A and copies the rest. The one-electron terms involve every
+  nucleus and are rebuilt in full, as are the SCF iterations and CPHF.
+* **Densities.** The +delta SCF starts from the converged base
+  density, and the -delta SCF from the *+delta* density (the previously
+  converged point of the same coordinate), which typically saves a few
+  DIIS iterations per displaced SCF. The realized savings — measured
+  against the cold-start iteration count of the base SCF — are
+  recorded in ``meta["scf_iters_saved"]``.
+
+Before the Hessian is symmetrized, its relative asymmetry
+‖H − Hᵀ‖/‖H‖ is recorded in ``meta["fd_asymmetry"]``: the FD noise
+that symmetrization would otherwise erase unreported.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from concurrent.futures import FIRST_COMPLETED, Executor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.devtools.contracts import check_response
+from repro.devtools.contracts import (
+    ContractViolation,
+    check_response,
+    sanitize_enabled,
+)
 from repro.dfpt.cphf import CPHF
 from repro.dfpt.gradient import gradient
 from repro.geometry.atoms import Geometry
+from repro.integrals.engine import BaseIntegrals
 from repro.obs.counters import counters
 from repro.obs.tracer import get_tracer, telemetry_shipment
 from repro.scf.rhf import RHF, SCFResult
@@ -80,6 +100,11 @@ class CoordinateJobResult:
     pid: int = 0
 
 
+#: largest FD asymmetry ‖H − Hᵀ‖/‖H‖ the sanitizer accepts: 50x the
+#: 2.0e-5 measured on the capped GLY piece (6.8e-6 on relaxed water)
+FD_ASYMMETRY_MAX = 1.0e-3
+
+
 def _displaced_scf(
     geometry: Geometry,
     atom: int,
@@ -87,13 +112,15 @@ def _displaced_scf(
     delta: float,
     guess_density: np.ndarray,
     scf_kwargs: dict,
+    base: BaseIntegrals | None = None,
 ) -> SCFResult:
     geom_d = geometry.displaced(atom, axis, delta)
-    res = RHF(geom_d, **scf_kwargs).run(guess_density=guess_density)
+    res = RHF(geom_d, **scf_kwargs).run(guess_density=guess_density,
+                                        base=base)
     if not res.converged:
         # retry cold — a bad guess can stall DIIS in rare cases
         counters().inc("scf.cold_retries")
-        res = RHF(geom_d, **scf_kwargs).run()
+        res = RHF(geom_d, **scf_kwargs).run(base=base)
     if not res.converged:
         raise RuntimeError(
             f"SCF failed to converge at displacement (atom={atom}, axis={axis})"
@@ -110,6 +137,7 @@ def coordinate_job(
     scf_kwargs: dict,
     compute_raman: bool,
     side_done=None,
+    base: BaseIntegrals | None = None,
 ) -> CoordinateJobResult:
     """Central-difference data for one coordinate (both signs).
 
@@ -117,21 +145,25 @@ def coordinate_job(
     then at -delta. The +delta SCF is seeded from the base density.
     The -delta SCF is seeded from the converged +delta density, the
     last density converged for this coordinate, which is already in
-    hand. The result's ``wall_s`` is the job's own wall time, measured
-    in the process that ran it. ``side_done()`` is invoked after each
-    sign completes (serial progress reporting; must be ``None`` when
-    shipped to a pool).
+    hand. With ``base`` (the base geometry's two-electron tensors),
+    the SCF and gradient integrals are rebuilt only where they touch
+    ``atom``. The result's ``wall_s`` is the job's own wall time,
+    measured in the process that ran it. ``side_done()`` is invoked
+    after each sign completes (serial progress reporting; must be
+    ``None`` when shipped to a pool).
     """
     sw = Stopwatch()
     sides = []
     guess = base_density
+    local = None if base is None else dataclasses.replace(base, moved=(atom,))
     with telemetry_shipment() as shipment:
         with get_tracer().span("hessian.coordinate", atom=atom, axis=axis):
             for sign in (+1.0, -1.0):
                 res = _displaced_scf(
-                    geometry, atom, axis, sign * delta, guess, scf_kwargs
+                    geometry, atom, axis, sign * delta, guess, scf_kwargs,
+                    local,
                 )
-                g = gradient(res)
+                g = gradient(res, local)
                 a = None
                 if compute_raman:
                     a = CPHF(res).run().alpha
@@ -153,6 +185,36 @@ def coordinate_job(
         counter_delta=shipment.counters,
         pid=os.getpid(),
     )
+
+
+def _retain(scf: SCFResult) -> BaseIntegrals:
+    """The base integrals every coordinate job of a fragment reuses: the
+    converged SCF's two-electron tensors, their nuclear derivatives and
+    (when screening is on) the Schwarz bound tables, all at the base
+    geometry, with no atom moved yet."""
+    engine = scf.engine
+    screen = engine.schwarz_cutoff > 0.0
+    pairs = (engine.schwarz_table(engine.blocks, scf.basis.nshells)
+             if screen else None)
+    if scf.df is None:
+        return BaseIntegrals(eri=scf.eri, eri_deriv=engine.eri_deriv(),
+                             pair_bounds=pairs)
+    df = scf.df
+    return BaseIntegrals(
+        j3c=df.j3c, v2c=df.v2c,
+        three_center_deriv=engine.three_center_deriv(df.aux_blocks, df.naux),
+        two_center_deriv=engine.two_center_deriv(df.aux_blocks, df.naux),
+        pair_bounds=pairs,
+        aux_bounds=(engine.schwarz_table(df.aux_blocks, df.aux.nshells)
+                    if screen else None),
+    )
+
+
+def fd_asymmetry(hessian: np.ndarray) -> float:
+    """‖H − Hᵀ‖/‖H‖ (Frobenius) of an unsymmetrized FD Hessian; 0 for
+    a zero H."""
+    norm = float(np.linalg.norm(hessian))
+    return float(np.linalg.norm(hessian - hessian.T)) / norm if norm else 0.0
 
 
 def fragment_response(
@@ -190,6 +252,10 @@ def fragment_response(
         serially (the ``displacement`` backend of
         :mod:`repro.pipeline.executor`). Results are numerically
         identical to the serial loop.
+
+    The base geometry's two-electron tensors are kept for the length of
+    the call and shipped with every coordinate job, which rebuilds only
+    the elements that touch its displaced atom.
     """
     scf_kwargs = dict(
         basis_name=basis_name, eri_mode=eri_mode, schwarz_cutoff=schwarz_cutoff
@@ -197,10 +263,15 @@ def fragment_response(
     base = RHF(geometry, **scf_kwargs).run()
     if not base.converged:
         raise RuntimeError("base SCF failed to converge")
-    g0 = gradient(base)
+    kept = _retain(base)
+    g0 = gradient(base, kept)
     alpha0 = None
     if compute_raman:
         alpha0 = CPHF(base).run().alpha
+    # the jobs need only these and the kept tensors: dropping the SCF
+    # state frees its whitened DF tensors and its engine for the loop
+    density, energy, niter = base.density, base.energy, base.niter
+    del base
 
     n = geometry.natoms
     ncoord = 3 * n
@@ -224,15 +295,15 @@ def fragment_response(
 
                 results.append(
                     coordinate_job(
-                        geometry, atom, axis, delta, base.density, scf_kwargs,
-                        compute_raman, side_done=side_done,
+                        geometry, atom, axis, delta, density, scf_kwargs,
+                        compute_raman, side_done=side_done, base=kept,
                     )
                 )
         else:
             pending = {
                 pool.submit(
-                    coordinate_job, geometry, atom, axis, delta, base.density,
-                    scf_kwargs, compute_raman,
+                    coordinate_job, geometry, atom, axis, delta, density,
+                    scf_kwargs, compute_raman, base=kept,
                 )
                 for atom, axis in coords
             }
@@ -260,11 +331,18 @@ def fragment_response(
         iters_plus += res.niter_plus
         iters_minus += res.niter_minus
         jobs_s += res.wall_s
-    # the exact Hessian is symmetric; FD noise is split evenly
+    # the exact Hessian is symmetric: record the FD noise, then split it
+    # evenly
+    asymmetry = fd_asymmetry(hessian)
+    if sanitize_enabled() and asymmetry > FD_ASYMMETRY_MAX:
+        raise ContractViolation(
+            f"FD Hessian asymmetry |H - H^T|/|H| = {asymmetry:.3e} above "
+            f"{FD_ASYMMETRY_MAX:.0e}", name="hessian", rule="fd_asymmetry",
+            context="phase=fragment_response")
     hessian = 0.5 * (hessian + hessian.T)
     resp = FragmentResponse(
         geometry=geometry,
-        energy=base.energy,
+        energy=energy,
         hessian=hessian,
         dalpha_dr=dalpha,
         alpha=alpha0,
@@ -276,13 +354,14 @@ def fragment_response(
             # ran: the displacement executor's busy time
             "coordinate_jobs_s": jobs_s,
             "schwarz_cutoff": schwarz_cutoff,
-            "scf_iters_base": base.niter,
+            "fd_asymmetry": asymmetry,
+            "scf_iters_base": niter,
             "scf_iters_plus": iters_plus,
             "scf_iters_minus": iters_minus,
             # iterations the density seeding saved across the 6N
             # displaced SCFs, measured against the cold-start cost of
             # the (equally sized, unseeded) base SCF
-            "scf_iters_saved": 2 * ncoord * base.niter
+            "scf_iters_saved": 2 * ncoord * niter
             - (iters_plus + iters_minus),
         },
     )

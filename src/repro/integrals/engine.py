@@ -16,11 +16,18 @@ number of classes, not the number of integrals. This is the same
 "pack similar work together" idea as the paper's elastic batching of
 same-shape GEMMs (§V-C), applied at the integral level.
 
+The two-electron builds also run displacement-local: handed the
+:class:`BaseIntegrals` of a geometry that differs only in the position
+of some atoms, they recompute just the elements that involve a function
+(orbital or auxiliary) on a moved atom and copy the rest. A full build
+is the same loop with every atom counted as moved.
+
 Validation: every public method is tested against the scalar reference
 in ``tests/integrals/mcmurchie.py`` and against finite differences, and
 the pair-block build, the scatters and the E3 builder against the loop
 oracle in ``tests/integrals/oracle.py``, which also keeps the ordered-bra
-``eri_deriv`` build as the value oracle of the unordered-block one.
+``eri_deriv`` build as the value oracle of the unordered-block one. A
+local build is tested against the full build at the same geometry.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from repro.basis.gaussian import BasisSet, Shell
 from repro.integrals.batched import (
@@ -82,6 +88,10 @@ def boys_closed_form(n: int, t: np.ndarray) -> np.ndarray:
     """F_n(t) = Γ(n+1/2) P(n+1/2, t) / (2 t^{n+1/2}) through the
     regularized incomplete gamma function, with the exact limit
     1/(2n+1) at t = 0. Builds the Boys table; nothing else calls it."""
+    # deferred: scipy.special costs ~70 ms of import time, and the
+    # table is built once per process, on first use
+    from scipy.special import gammainc, gammaln
+
     t = np.asarray(t, dtype=float)
     small = t < 1e-13
     ts = np.where(small, 1.0, t)  # placeholder to avoid 0-division
@@ -383,6 +393,123 @@ class PairBlock:
 
 
 # ---------------------------------------------------------------------------
+# displacement-local builds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BaseIntegrals:
+    """Two-electron tensors of a base geometry and the atoms moved since.
+
+    A build handed one recomputes only the elements that involve a
+    function (orbital or auxiliary) on an atom in ``moved`` and copies
+    every other element from its base tensor; with ``moved`` empty it
+    returns a copy of the base tensor. One path fills the exact fields
+    (``eri``, ``eri_deriv``), the other the density-fitting ones.
+    ``pair_bounds``/``aux_bounds`` are the base geometry's Schwarz
+    bounds by shell pair (:meth:`IntegralEngine.schwarz_table`), which
+    a screened build reads for the pairs it does not recompute.
+    """
+
+    moved: tuple[int, ...] = ()
+    eri: np.ndarray | None = None
+    eri_deriv: np.ndarray | None = None
+    j3c: np.ndarray | None = None
+    v2c: np.ndarray | None = None
+    three_center_deriv: np.ndarray | None = None
+    two_center_deriv: np.ndarray | None = None
+    pair_bounds: np.ndarray | None = None
+    aux_bounds: np.ndarray | None = None
+
+
+@dataclass
+class _Side:
+    """Pairs of one block selected for a build: a subset view of the
+    block (or the block itself), its operand stacks, and the indices of
+    the selected pairs in the block (None for all of them)."""
+
+    blk: PairBlock
+    ops: tuple[np.ndarray, ...]
+    idx: np.ndarray | None = None
+
+
+def _rows(blk: PairBlock, stack: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows of an ``(nvar, nprim, ...)`` operand stack that belong to the
+    pairs in ``idx``."""
+    shaped = stack.reshape(stack.shape[0], blk.npair, blk.k2, *stack.shape[2:])
+    return shaped[:, idx].reshape(stack.shape[0], idx.size * blk.k2,
+                                  *stack.shape[2:])
+
+
+def _on(atoms: np.ndarray, moved: tuple[int, ...]) -> np.ndarray:
+    """Mask of the entries of ``atoms`` that are moved atoms."""
+    return (atoms[:, None] == np.asarray(moved, dtype=atoms.dtype)).any(axis=1)
+
+
+def _split(blk: PairBlock, ops: tuple[np.ndarray, ...],
+           base: BaseIntegrals | None) -> tuple[_Side | None, _Side | None]:
+    """The (touched, untouched) pairs of one block: those with a function
+    on an atom of ``base.moved`` and the rest, None where empty. A full
+    build (no ``base``) counts every atom as moved: the touched side is
+    the whole block and nothing is copied."""
+    if base is None:
+        return _Side(blk, ops), None
+    hit = _on(blk.atom_a, base.moved) | _on(blk.atom_b, base.moved)
+
+    def side(idx):
+        if not idx.size:
+            return None
+        return _Side(blk.subset(idx), tuple(_rows(blk, op, idx) for op in ops),
+                     idx)
+
+    return side(np.nonzero(hit)[0]), side(np.nonzero(~hit)[0])
+
+
+def _parts(bra: tuple[_Side | None, _Side | None], ket_whole: _Side,
+           ket_touched: _Side | None) -> list[tuple[_Side, _Side]]:
+    """The (bra, ket) selections that cover every pair combination
+    touching a moved atom once: the touched bra pairs against the whole
+    ket block, then the untouched bra pairs against the touched ket
+    pairs. A full build has one part, the two whole blocks."""
+    touched, untouched = bra
+    parts = []
+    if touched is not None:
+        parts.append((touched, ket_whole))
+    if untouched is not None and ket_touched is not None:
+        parts.append((untouched, ket_touched))
+    return parts
+
+
+def _function_mask(blocks: list[PairBlock], nfunc: int,
+                   moved: tuple[int, ...]) -> np.ndarray:
+    """Boolean mask of the functions on a moved atom, over the ``nfunc``
+    functions the blocks' bra shells index (every shell of a basis is
+    the bra of its own diagonal pair)."""
+    mask = np.zeros(nfunc, dtype=bool)
+    for blk in blocks:
+        first = blk.off_a[_on(blk.atom_a, moved)]
+        mask[(first[:, None] + np.arange(blk.dims[1])).ravel()] = True
+    return mask
+
+
+def _start(shape: tuple[int, ...], base: BaseIntegrals | None, name: str,
+           axes: list[tuple[int, list[PairBlock]]]) -> np.ndarray:
+    """Output of a build: zeros for a full build (no ``base``), else a
+    copy of the base tensor ``name`` with every element that involves a
+    function on a moved atom zeroed, for the build to recompute.
+    ``axes`` pairs each function axis with the blocks that index it."""
+    if base is None:
+        return np.zeros(shape)
+    tensor = getattr(base, name)
+    if tensor is None or tensor.shape != shape:
+        raise ValueError(f"base {name} is missing or not of shape {shape}")
+    out = tensor.copy()
+    for axis, blocks in axes:
+        mask = _function_mask(blocks, shape[axis], base.moved)
+        out[(slice(None),) * axis + (mask,)] = 0.0
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the Hermite product tensor E3
 # ---------------------------------------------------------------------------
 
@@ -629,6 +756,37 @@ class IntegralEngine:
         """
         return [self._plain_operands(blk, bound=True)[2] for blk in blocks]
 
+    def schwarz_table(self, blocks: list[PairBlock], nshell: int
+                      ) -> np.ndarray:
+        """The :meth:`schwarz_bounds` of ``blocks`` by shell pair: a
+        symmetric ``(nshell, nshell)`` table, zero for pairs no block
+        holds. Kept as :attr:`BaseIntegrals.pair_bounds` /
+        ``aux_bounds`` for local builds."""
+        table = np.zeros((nshell, nshell))
+        for blk, q in zip(blocks, self.schwarz_bounds(blocks)):
+            table[blk.ishell, blk.jshell] = q
+            table[blk.jshell, blk.ishell] = q
+        return table
+
+    def _bounds(self, whole: _Side, touched: _Side | None,
+                table: np.ndarray | None) -> np.ndarray | None:
+        """Schwarz bound vector of one whole block in a build (None when
+        screening is off): computed for its touched pairs and read from
+        the base ``table`` for the rest, whose geometry is the base's;
+        computed for every pair without a table (a full build). A
+        screened local build thus sees the same whole-block bounds, and
+        makes the same screening decisions, as a full one."""
+        if self.schwarz_cutoff <= 0.0:
+            return None
+        if table is None:
+            return self._schwarz_block(whole.blk, whole.ops[0][0],
+                                       whole.ops[1][0])
+        q = table[whole.blk.ishell, whole.blk.jshell]
+        if touched is not None:
+            q[touched.idx] = self._schwarz_block(
+                touched.blk, touched.ops[0][0], touched.ops[1][0])
+        return q
+
     def _schwarz_block(self, blk: PairBlock, e3: np.ndarray, e3s: np.ndarray,
                        element_budget: int = 200_000) -> np.ndarray:
         """Diagonal (ab|ab) bound vector of one pair block, vectorized.
@@ -787,8 +945,9 @@ class IntegralEngine:
         bound product stays below the cutoff are skipped; their output
         entries are exact zeros bounded by the cutoff.
         """
-        vals = self._coulomb(bra, self._plain_operands(bra)[0], ket,
-                             self._plain_operands(ket)[1], q_bra, q_ket)
+        vals = self._coulomb(_Side(bra, self._plain_operands(bra)[:2]),
+                             _Side(ket, self._plain_operands(ket)[:2]),
+                             q_bra, q_ket)
         return vals.reshape(*bra.dims, *ket.dims)
 
     def coulomb_block_deriv(self, bra: PairBlock, ket: PairBlock) -> np.ndarray:
@@ -802,26 +961,34 @@ class IntegralEngine:
                                  [(e3d, self._plain_operands(ket)[1])])[0]
         return out.reshape(3, *bra.dims, *ket.dims)
 
-    def _coulomb(self, bra: PairBlock, e3b: np.ndarray, ket: PairBlock,
-                 e3k: np.ndarray, q_bra: np.ndarray | None = None,
+    def _coulomb(self, bra: _Side, ket: _Side,
+                 q_bra: np.ndarray | None = None,
                  q_ket: np.ndarray | None = None) -> np.ndarray:
-        """Plain (bra|ket) of one block pair, Schwarz-screened.
+        """Plain (bra|ket) of a bra and a ket pair selection, Schwarz-screened.
 
-        ``e3b`` is the bra's plain E3 and ``e3k`` the ket's signed E3,
-        both ``(1, nprim, n, ncombos)``. With bounds and a positive
+        Each side's ``ops`` are its plain bra E3 and signed ket E3, both
+        ``(1, nprim, n, ncombos)``. ``q_bra``/``q_ket`` are the bound
+        vectors of the *whole* blocks: a selection is screened against
+        the other whole block's largest bound, so each pair combination
+        gets the decision of the full build. With bounds and a positive
         cutoff, only the surviving pairs are contracted: their E3 rows
         are sliced out by primitive, as :meth:`PairBlock.subset` slices
-        the block. Returns ``(npair_bra, nab, npair_ket, ncd)``.
+        the block. Returns ``(npair_bra, nab, npair_ket, ncd)`` over the
+        selected pairs.
         """
+        b, k = bra.blk, ket.blk
+        e3b, e3k = bra.ops[0], ket.ops[1]
         nab = e3b.shape[2]
         ncd = e3k.shape[2]
         cut = self.schwarz_cutoff
         if cut > 0.0 and q_bra is not None and q_ket is not None:
+            qb = q_bra if bra.idx is None else q_bra[bra.idx]
+            qk = q_ket if ket.idx is None else q_ket[ket.idx]
             stats = self.screen_stats
-            n_total = bra.npair * ket.npair
+            n_total = b.npair * k.npair
             stats["pair_combinations_total"] += n_total
-            keep_b = np.nonzero(q_bra * q_ket.max(initial=0.0) >= cut)[0]
-            keep_k = np.nonzero(q_ket * q_bra.max(initial=0.0) >= cut)[0]
+            keep_b = np.nonzero(qb * q_ket.max(initial=0.0) >= cut)[0]
+            keep_k = np.nonzero(qk * q_bra.max(initial=0.0) >= cut)[0]
             n_eval = keep_b.size * keep_k.size
             stats["pair_combinations_evaluated"] += n_eval
             stats["pair_combinations_screened"] += n_total - n_eval
@@ -831,16 +998,15 @@ class IntegralEngine:
             reg.inc("eri.pair_combinations_evaluated", n_eval)
             reg.inc("eri.pair_combinations_screened", n_total - n_eval)
             if n_eval == 0:
-                return np.zeros((bra.npair, nab, ket.npair, ncd))
-            if keep_b.size < bra.npair or keep_k.size < ket.npair:
+                return np.zeros((b.npair, nab, k.npair, ncd))
+            if keep_b.size < b.npair or keep_k.size < k.npair:
                 sub = self._coulomb_core(
-                    bra.subset(keep_b), ket.subset(keep_k),
-                    [(bra.prim_rows(e3b[0], keep_b)[None],
-                      ket.prim_rows(e3k[0], keep_k)[None])])[0][0]
-                out = np.zeros((bra.npair, nab, ket.npair, ncd))
+                    b.subset(keep_b), k.subset(keep_k),
+                    [(_rows(b, e3b, keep_b), _rows(k, e3k, keep_k))])[0][0]
+                out = np.zeros((b.npair, nab, k.npair, ncd))
                 out[np.ix_(keep_b, np.arange(nab), keep_k)] = sub
                 return out
-        return self._coulomb_core(bra, ket, [(e3b, e3k)])[0][0]
+        return self._coulomb_core(b, k, [(e3b, e3k)])[0][0]
 
     def _coulomb_core(
         self,
@@ -917,31 +1083,39 @@ class IntegralEngine:
                                         nck * k2k)
         return [out.reshape(-1, bra.npair, nab, npk, ncd) for out in outs]
 
-    def eri(self) -> np.ndarray:
+    def eri(self, base: BaseIntegrals | None = None) -> np.ndarray:
         """Exact ERI tensor (chemists' notation (ab|cd)), full nbf^4.
 
         Intended for small systems (tests, tiny fragments); production
         fragment SCF uses density fitting. With a positive
         :attr:`schwarz_cutoff`, shell-pair combinations bounded below
-        the cutoff are skipped (their entries are exact zeros).
+        the cutoff are skipped (their entries are exact zeros). With
+        ``base``, only the elements touching ``base.moved`` are
+        recomputed (:class:`BaseIntegrals`).
         """
         nbf = self.nbf
         with get_tracer().span("integrals.eri", nbf=nbf):
-            out = np.zeros((nbf, nbf, nbf, nbf))
             blocks = self.blocks
-            ops = [self._plain_operands(blk, self.schwarz_cutoff > 0.0)
-                   for blk in blocks]
-            for bi, (bra, (e3b, _, q_bra)) in enumerate(zip(blocks, ops)):
-                for ket, (_, e3k, q_ket) in zip(blocks[bi:], ops[bi:]):
-                    vals = self._coulomb(bra, e3b, ket, e3k, q_bra, q_ket)
-                    scatter_eri(out, bra, ket,
-                                vals.reshape(*bra.dims, *ket.dims))
+            out = _start((nbf,) * 4, base, "eri",
+                         [(ax, blocks) for ax in range(4)])
+            wholes = [_Side(blk, self._plain_operands(blk)[:2])
+                      for blk in blocks]
+            sides = [_split(w.blk, w.ops, base) for w in wholes]
+            qs = [self._bounds(w, side[0], base and base.pair_bounds)
+                  for w, side in zip(wholes, sides)]
+            for bi, bside in enumerate(sides):
+                for ki in range(bi, len(blocks)):
+                    for bra, ket in _parts(bside, wholes[ki], sides[ki][0]):  # qf: shell-loop — at most two selections per block pair; bodies vectorized
+                        vals = self._coulomb(bra, ket, qs[bi], qs[ki])
+                        scatter_eri(out, bra.blk, ket.blk,
+                                    vals.reshape(*bra.blk.dims,
+                                                 *ket.blk.dims))
         return out
 
     # -- density fitting ------------------------------------------------------
 
-    def three_center(self, aux_blocks: list[PairBlock], naux: int
-                     ) -> np.ndarray:
+    def three_center(self, aux_blocks: list[PairBlock], naux: int,
+                     base: BaseIntegrals | None = None) -> np.ndarray:
         """Three-center integrals (ab|P), shape (nbf, nbf, naux).
 
         ``aux_blocks`` are :func:`single_shell_blocks` of the auxiliary
@@ -949,26 +1123,42 @@ class IntegralEngine:
         screened by sqrt((ab|ab)) sqrt((P|P)): orbital pairs with
         negligible pair density never touch any auxiliary function,
         which is where production fragments spend their integral time.
+        With ``base``, only the elements touching ``base.moved`` are
+        recomputed from ``base.j3c`` (:class:`BaseIntegrals`).
         """
-        out = np.zeros((self.nbf, self.nbf, naux))
-        screen = self.schwarz_cutoff > 0.0
-        kets = [self._plain_operands(blk, screen)[1:] for blk in aux_blocks]
-        for bra in self.blocks:
-            e3b, _, q_bra = self._plain_operands(bra, screen)
-            for ket, (e3k, q_ket) in zip(aux_blocks, kets):
-                vals = self._coulomb(bra, e3b, ket, e3k, q_bra, q_ket)
-                scatter_pairs_aux(out, bra, ket,
-                                  vals.reshape(*bra.dims, ket.npair, -1))
+        out = _start((self.nbf, self.nbf, naux), base, "j3c",
+                     [(0, self.blocks), (1, self.blocks), (2, aux_blocks)])
+        kets = [_Side(blk, self._plain_operands(blk)[:2])
+                for blk in aux_blocks]
+        ket_sides = [_split(k.blk, k.ops, base) for k in kets]
+        q_kets = [self._bounds(k, side[0], base and base.aux_bounds)
+                  for k, side in zip(kets, ket_sides)]
+        for blk in self.blocks:
+            whole = _Side(blk, self._plain_operands(blk)[:2])
+            bside = _split(blk, whole.ops, base)
+            q_bra = self._bounds(whole, bside[0], base and base.pair_bounds)
+            for ket, kside, q_ket in zip(kets, ket_sides, q_kets):
+                for bra, sel in _parts(bside, ket, kside[0]):  # qf: shell-loop — at most two selections per block pair; bodies vectorized
+                    vals = self._coulomb(bra, sel, q_bra, q_ket)
+                    scatter_pairs_aux(out, bra.blk, sel.blk,
+                                      vals.reshape(*bra.blk.dims,
+                                                   sel.blk.npair, -1))
         return out
 
-    def two_center(self, aux_blocks: list[PairBlock], naux: int
-                   ) -> np.ndarray:
-        """Two-center Coulomb metric (P|Q), shape (naux, naux)."""
-        out = np.zeros((naux, naux))
-        ops = [self._plain_operands(blk) for blk in aux_blocks]
-        for i, (bra, (e3b, _, _)) in enumerate(zip(aux_blocks, ops)):
-            for ket, (_, e3k, _) in zip(aux_blocks[i:], ops[i:]):
-                scatter_metric(out, bra, ket, self._coulomb(bra, e3b, ket, e3k))
+    def two_center(self, aux_blocks: list[PairBlock], naux: int,
+                   base: BaseIntegrals | None = None) -> np.ndarray:
+        """Two-center Coulomb metric (P|Q), shape (naux, naux); with
+        ``base``, recomputed from ``base.v2c`` around ``base.moved``."""
+        out = _start((naux, naux), base, "v2c",
+                     [(0, aux_blocks), (1, aux_blocks)])
+        wholes = [_Side(blk, self._plain_operands(blk)[:2])
+                  for blk in aux_blocks]
+        sides = [_split(w.blk, w.ops, base) for w in wholes]
+        for i, bside in enumerate(sides):
+            for ket, kside in zip(wholes[i:], sides[i:]):
+                for bra, sel in _parts(bside, ket, kside[0]):  # qf: shell-loop — at most two selections per block pair; bodies vectorized
+                    scatter_metric(out, bra.blk, sel.blk,
+                                   self._coulomb(bra, sel))
         return out
 
     # -- derivative integrals (bra-slot convention) ---------------------------
@@ -1072,43 +1262,57 @@ class IntegralEngine:
                     scatter_ordered(dv_nuc[d, c], blk, vals)
         return dv_bra, dv_nuc
 
-    def three_center_deriv(self, aux_blocks: list[PairBlock], naux: int
-                           ) -> np.ndarray:
+    def three_center_deriv(self, aux_blocks: list[PairBlock], naux: int,
+                           base: BaseIntegrals | None = None) -> np.ndarray:
         """d(ab|P)/d(center of a), shape (3, nbf, nbf, naux).
 
         Covers all ordered (a, b) from the canonical (i <= j) pairs with
         fused dA/dB variants: the [nu, mu] entries come from the dB slabs
         transposed. The aux-center derivative follows from translational
-        invariance: d/dP = -(d/dA + d/dB).
+        invariance: d/dP = -(d/dA + d/dB). With ``base``, only the
+        elements touching ``base.moved`` are recomputed.
         """
-        out = np.zeros((3, self.nbf, self.nbf, naux))
-        kets = [self._plain_operands(blk)[1] for blk in aux_blocks]
-        for bra in self.blocks:
-            stack = _e3(bra, bra.e_tensors(da=1, db=1), centres=(0, 1))
-            for ket, e3k in zip(aux_blocks, kets):
-                vals = self._coulomb_core(bra, ket, [(stack, e3k)])[0]
-                vals = vals.reshape(6, *bra.dims, ket.npair, -1)
-                for d in range(3):
-                    scatter_pairs_aux(out[d], bra, ket, vals[d],
-                                      vals_t=vals[3 + d])
+        out = _start((3, self.nbf, self.nbf, naux), base,
+                     "three_center_deriv",
+                     [(1, self.blocks), (2, self.blocks), (3, aux_blocks)])
+        kets = [_Side(blk, (self._plain_operands(blk)[1],))
+                for blk in aux_blocks]
+        ket_sides = [_split(k.blk, k.ops, base) for k in kets]
+        for blk in self.blocks:
+            stack = _e3(blk, blk.e_tensors(da=1, db=1), centres=(0, 1))
+            bside = _split(blk, (stack,), base)
+            for ket, kside in zip(kets, ket_sides):
+                for bra, sel in _parts(bside, ket, kside[0]):  # qf: shell-loop — at most two selections per block pair; bodies vectorized
+                    vals = self._coulomb_core(bra.blk, sel.blk,
+                                              [(bra.ops[0], sel.ops[0])])[0]
+                    vals = vals.reshape(6, *bra.blk.dims, sel.blk.npair, -1)
+                    for d in range(3):
+                        scatter_pairs_aux(out[d], bra.blk, sel.blk, vals[d],
+                                          vals_t=vals[3 + d])
         return out
 
-    def two_center_deriv(self, aux_blocks: list[PairBlock], naux: int
-                         ) -> np.ndarray:
-        """d(P|Q)/d(center of P), shape (3, naux, naux), all ordered (P, Q)."""
-        out = np.zeros((3, naux, naux))
-        ops = []
+    def two_center_deriv(self, aux_blocks: list[PairBlock], naux: int,
+                         base: BaseIntegrals | None = None) -> np.ndarray:
+        """d(P|Q)/d(center of P), shape (3, naux, naux), all ordered (P, Q);
+        with ``base``, recomputed around ``base.moved``."""
+        out = _start((3, naux, naux), base, "two_center_deriv",
+                     [(1, aux_blocks), (2, aux_blocks)])
+        wholes = []
         for blk in aux_blocks:
             ex = blk.e_tensors(da=1)
-            ops.append((_e3(blk, ex, centres=(0,)), _signed(blk, _e3(blk, ex))))
-        for bra, (e3d, _) in zip(aux_blocks, ops):
-            for ket, (_, e3k) in zip(aux_blocks, ops):
-                vals = self._coulomb_core(bra, ket, [(e3d, e3k)])[0]
-                for d in range(3):
-                    scatter_pairs_2c(out[d], bra, ket, vals[d])
+            wholes.append(_Side(blk, (_e3(blk, ex, centres=(0,)),
+                                      _signed(blk, _e3(blk, ex)))))
+        sides = [_split(w.blk, w.ops, base) for w in wholes]
+        for bside in sides:
+            for ket, kside in zip(wholes, sides):
+                for bra, sel in _parts(bside, ket, kside[0]):  # qf: shell-loop — at most two selections per block pair; bodies vectorized
+                    vals = self._coulomb_core(bra.blk, sel.blk,
+                                              [(bra.ops[0], sel.ops[1])])[0]
+                    for d in range(3):
+                        scatter_pairs_2c(out[d], bra.blk, sel.blk, vals[d])
         return out
 
-    def eri_deriv(self) -> np.ndarray:
+    def eri_deriv(self, base: BaseIntegrals | None = None) -> np.ndarray:
         """dA-slot derivative of the exact ERI tensor.
 
         Shape (3, nbf, nbf, nbf, nbf): entry [x, mu, nu, lm, sg] is
@@ -1117,33 +1321,40 @@ class IntegralEngine:
         which yields all four center derivatives: the fused dA/dB stack
         of the bra against the plain ket, and for bra != ket a second
         term, the plain bra against the ket's fused dC/dD stack, i.e.
-        the slots of (ket|bra). Small systems only (nbf^4 memory).
+        the slots of (ket|bra). Small systems only (nbf^4 memory). With
+        ``base``, only the elements touching ``base.moved`` are
+        recomputed.
         """
         nbf = self.nbf
-        out = np.zeros((3, nbf, nbf, nbf, nbf))
         blocks = self.blocks
+        out = _start((3,) + (nbf,) * 4, base, "eri_deriv",
+                     [(ax, blocks) for ax in range(1, 5)])
         # per block: dA/dB stack and plain E3, each in bra and ket form
-        ops = []
+        wholes = []
         for blk in blocks:
             ex = blk.e_tensors(da=1, db=1)
             stack, plain = _e3(blk, ex, centres=(0, 1)), _e3(blk, ex)
-            ops.append((stack, plain, _signed(blk, stack),
-                        _signed(blk, plain)))
-        for bi, (bra, (stack_b, plain_b, _, _)) in enumerate(zip(blocks, ops)):
-            for ket, (_, _, stack_k, plain_k) in zip(blocks[bi:], ops[bi:]):
-                shape = (6, *bra.dims, *ket.dims)
-                # (bra|bra) already covers every ordered pair combination
-                terms = [(stack_b, plain_k)]
-                if ket is not bra:
-                    terms.append((plain_b, stack_k))
-                vals = self._coulomb_core(bra, ket, terms)
-                scatter_eri_deriv_ab(out, bra, ket, vals[0].reshape(shape))
-                if ket is not bra:
-                    # (6, bra pair, ab, ket pair, cd) -> ket-major for (ket|bra)
-                    scatter_eri_deriv_ab(
-                        out, ket, bra,
-                        vals[1].reshape(shape).transpose(0, 4, 5, 6, 1, 2, 3),
-                    )
+            wholes.append(_Side(blk, (stack, plain, _signed(blk, stack),
+                                      _signed(blk, plain))))
+        sides = [_split(w.blk, w.ops, base) for w in wholes]
+        for bi, bside in enumerate(sides):
+            for ki in range(bi, len(blocks)):
+                for bra, ket in _parts(bside, wholes[ki], sides[ki][0]):  # qf: shell-loop — at most two selections per block pair; bodies vectorized
+                    shape = (6, *bra.blk.dims, *ket.blk.dims)
+                    # (bra|bra) already covers every ordered pair combination
+                    terms = [(bra.ops[0], ket.ops[3])]
+                    if ki != bi:
+                        terms.append((bra.ops[1], ket.ops[2]))
+                    vals = self._coulomb_core(bra.blk, ket.blk, terms)
+                    scatter_eri_deriv_ab(out, bra.blk, ket.blk,
+                                         vals[0].reshape(shape))
+                    if ki != bi:
+                        # (6, bra pair, ab, ket pair, cd) -> ket-major for (ket|bra)
+                        scatter_eri_deriv_ab(
+                            out, ket.blk, bra.blk,
+                            vals[1].reshape(shape).transpose(
+                                0, 4, 5, 6, 1, 2, 3),
+                        )
         return out
 
 

@@ -23,7 +23,11 @@ import scipy.linalg
 
 from repro.basis.gaussian import BasisSet, make_shell
 from repro.geometry.atoms import Geometry
-from repro.integrals.engine import IntegralEngine, single_shell_blocks
+from repro.integrals.engine import (
+    BaseIntegrals,
+    IntegralEngine,
+    single_shell_blocks,
+)
 
 
 def _even_tempered(lo: float, hi: float, beta: float) -> list[float]:
@@ -96,15 +100,21 @@ class DensityFitting:
         Two-center Coulomb metric (P|Q), shape (naux, naux).
     b:
         Cholesky-whitened three-center tensor: (ab|cd) ~= b_ab . b_cd.
+
+    With ``base`` (the :class:`~repro.integrals.engine.BaseIntegrals` of
+    a geometry that differs in the atoms ``base.moved``), ``j3c`` and
+    ``v2c`` are rebuilt only where they touch a moved atom; the
+    Cholesky whitening always runs in full.
     """
 
-    def __init__(self, engine: IntegralEngine, aux: BasisSet):
+    def __init__(self, engine: IntegralEngine, aux: BasisSet,
+                 base: BaseIntegrals | None = None):
         self.engine = engine
         self.aux = aux
         self.naux = aux.nbf
         self.aux_blocks = single_shell_blocks(aux.shells, aux.offsets)
-        self.j3c = engine.three_center(self.aux_blocks, self.naux)
-        self.v2c = engine.two_center(self.aux_blocks, self.naux)
+        self.j3c = engine.three_center(self.aux_blocks, self.naux, base)
+        self.v2c = engine.two_center(self.aux_blocks, self.naux, base)
         # whiten: V = L L^T, b = j3c L^{-T}
         jitter = 0.0
         for _ in range(6):

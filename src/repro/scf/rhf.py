@@ -15,7 +15,7 @@ import numpy as np
 from repro.basis.gaussian import BasisSet, build_basis
 from repro.devtools.contracts import check_array, sanitize_enabled
 from repro.geometry.atoms import Geometry
-from repro.integrals.engine import IntegralEngine
+from repro.integrals.engine import BaseIntegrals, IntegralEngine
 from repro.obs.counters import counters
 from repro.obs.tracer import get_tracer
 from repro.scf.df import DensityFitting, auto_aux_basis
@@ -120,7 +120,7 @@ class RHF:
 
     # -- integral preparation --------------------------------------------------
 
-    def _prepare(self):
+    def _prepare(self, base: BaseIntegrals | None = None):
         s = self.engine.overlap()
         h = self.engine.kinetic() + self.engine.nuclear()
         if self.field_vector is not None:
@@ -128,10 +128,10 @@ class RHF:
             # H' = +F·r per electron (E_field = -mu·F with mu = -r)
             h = h + np.einsum("x,xab->ab", np.asarray(self.field_vector), dip)
         if self.eri_mode == "exact":
-            self._eri = self.engine.eri()
+            self._eri = self.engine.eri(base)
         else:
             aux = auto_aux_basis(self.geometry, self.basis)
-            self._df = DensityFitting(self.engine, aux)
+            self._df = DensityFitting(self.engine, aux, base)
         return s, h
 
     def _energy(self, density, h, f, e_nuc) -> float:
@@ -154,18 +154,23 @@ class RHF:
 
     # -- driver ------------------------------------------------------------------
 
-    def run(self, guess_density: np.ndarray | None = None) -> SCFResult:
+    def run(self, guess_density: np.ndarray | None = None,
+            base: BaseIntegrals | None = None) -> SCFResult:
         """Run the SCF to convergence; returns an :class:`SCFResult`.
 
         ``guess_density`` (e.g. the converged density of an undisplaced
         geometry) substantially cuts iteration counts in the DFPT
-        displacement loop.
+        displacement loop. ``base`` holds the two-electron tensors of a
+        geometry that differs only in the atoms ``base.moved``: the
+        integral build then recomputes only the elements that touch
+        them (:class:`~repro.integrals.engine.BaseIntegrals`). The
+        one-electron integrals and the iterations run in full.
         """
         with get_tracer().span(
             "scf", natoms=self.geometry.natoms, nbf=self.basis.nbf,
             mode=self.eri_mode, seeded=guess_density is not None,
         ) as sp:
-            result = self._solve(guess_density)
+            result = self._solve(guess_density, base)
             sp.set(niter=result.niter, converged=result.converged)
         counters().inc("scf.runs")
         counters().inc("scf.iterations", result.niter)
@@ -173,8 +178,9 @@ class RHF:
             counters().inc("scf.unconverged")
         return result
 
-    def _solve(self, guess_density: np.ndarray | None = None) -> SCFResult:
-        s, h = self._prepare()
+    def _solve(self, guess_density: np.ndarray | None = None,
+               base: BaseIntegrals | None = None) -> SCFResult:
+        s, h = self._prepare(base)
         x = orthogonalizer(s)
         e_nuc = self.geometry.nuclear_repulsion()
 

@@ -99,8 +99,8 @@ def test_unconverged_seeded_scf_is_retried_cold_and_counted(
     real_run = hessian.RHF.run
     runs = []
 
-    def stalled_when_seeded(self, guess_density=None):
-        res = real_run(self, guess_density=guess_density)
+    def stalled_when_seeded(self, guess_density=None, base=None):
+        res = real_run(self, guess_density=guess_density, base=base)
         runs.append(guess_density is not None)
         if guess_density is not None:
             res = dataclasses.replace(res, converged=False)

@@ -215,3 +215,20 @@ def test_df_two_center_is_coulomb_metric(water_engine):
     assert np.allclose(v, v.T, atol=1e-10)
     evals = np.linalg.eigvalsh(v)
     assert evals.min() > 0
+
+
+def test_pipeline_import_leaves_scipy_special_out():
+    """scipy.special (~70 ms of import time) is imported when the Boys
+    table is first built, not on the pipeline's import path."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, repro.pipeline; "
+            "sys.exit('scipy.special' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
