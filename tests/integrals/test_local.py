@@ -145,3 +145,41 @@ def test_base_of_the_wrong_path_is_rejected():
     eng, _ = _engine(geom, 0.0)
     with pytest.raises(ValueError, match="base eri"):
         eng.eri(base)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "df"])
+def test_touched_base_elements_are_never_read(exact):
+    """A local build zeroes every base element that involves a moved
+    function before it recomputes them, so the ones its screening then
+    skips are zeros, as in a full build, and never stale base values.
+    Poisoning them with NaN in the base must change nothing."""
+    geom = _stretched_waters()
+    cutoff = 1.0e-10
+    base = _base(geom, cutoff, exact)
+    _, basis = _engine(geom, cutoff)
+    orb = basis.function_atom_map() == 0
+    aux = auto_aux_basis(geom, basis).function_atom_map() == 0
+    axes = {"eri": (orb,) * 4, "eri_deriv": (None,) + (orb,) * 4,
+            "j3c": (orb, orb, aux), "v2c": (aux, aux),
+            "three_center_deriv": (None, orb, orb, aux),
+            "two_center_deriv": (None, aux, aux)}
+    poisoned = {}
+    for name, masks in axes.items():
+        tensor = getattr(base, name)
+        if tensor is None:
+            continue
+        tensor = tensor.copy()
+        for axis, mask in enumerate(masks):
+            if mask is not None:
+                tensor[(slice(None),) * axis + (mask,)] = np.nan
+        poisoned[name] = tensor
+    local = dataclasses.replace(base, moved=(0,), **poisoned)
+    moved = geom.displaced(0, 0, DELTA)
+    eng, mbasis = _engine(moved, cutoff)
+    if exact:
+        got, want = _exact(eng, mbasis, local), _exact(eng, mbasis)
+    else:
+        got, want = _df(eng, moved, mbasis, local), _df(eng, moved, mbasis)
+    for name, ref in want.items():
+        err = np.abs(got[name] - ref).max() / np.abs(ref).max()
+        assert err <= RTOL, f"{name}: {err:.2e} relative"
