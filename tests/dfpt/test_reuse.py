@@ -109,3 +109,16 @@ def test_fd_asymmetry_above_bound_raises_under_sanitize(water_optimized,
 
 def test_fd_asymmetry_of_a_zero_hessian_is_zero():
     assert hessian.fd_asymmetry(np.zeros((3, 3))) == 0.0  # qf: exact-zero — the zero-H guard returns a literal 0
+
+
+def test_h2_hessian_is_symmetric():
+    """H2 in a minimal basis converges to round-off in one SCF step
+    (symmetry fixes its density). Its FD Hessian must come out symmetric
+    to round-off; it read 4.4e-3 when DIIS still extrapolated from
+    round-off error vectors, whose noise reached the orbital energies of
+    the gradient's energy-weighted density."""
+    from repro.geometry.atoms import Geometry
+
+    geom = Geometry(["H", "H"], np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.40]]))
+    resp = fragment_response(geom, eri_mode="exact", compute_raman=False)
+    assert resp.meta["fd_asymmetry"] < 1e-10

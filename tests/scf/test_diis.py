@@ -65,3 +65,19 @@ def test_reset():
     d.push(np.eye(2), np.eye(2), np.eye(2))
     d.reset()
     assert d.nvec == 0
+
+
+def test_converged_to_roundoff_returns_latest_fock():
+    """Once the newest error is round-off, extrapolating would amplify
+    it through an ill-conditioned subspace: the newest Fock comes back
+    unchanged."""
+    rng = np.random.default_rng(2)
+    s = np.eye(3)
+    p = np.diag([2.0, 0.0, 0.0])
+    d = DIIS()
+    d.push(rng.normal(size=(3, 3)), p, s)   # far from convergence
+    fock = np.diag([-0.5, 0.3, 0.7])         # commutes with p: error 0
+    for _ in range(2):
+        noisy = fock + 1e-16 * rng.normal(size=(3, 3))
+        d.push(noisy, p, s)
+    np.testing.assert_array_equal(d.extrapolate(), noisy)
