@@ -100,6 +100,25 @@ def _setup_obs(args):
     return enable_tracing()
 
 
+def _fd_asymmetry_extras(result) -> dict:
+    """The largest ``meta["fd_asymmetry"]`` over the run's responses, the
+    label of the first piece that has it, and how many responses lack
+    the number (store entries written before the store kept it, and
+    copies rotated off them)."""
+    worst, label, missing = None, None, 0
+    for k, (piece, resp) in enumerate(zip(result.decomposition.pieces,
+                                          result.responses)):
+        if resp is None:
+            continue
+        value = resp.meta.get("fd_asymmetry")
+        if value is None:
+            missing += 1
+        elif worst is None or value > worst:
+            worst, label = float(value), piece.label or f"piece-{k}"
+    return {"fd_asymmetry_max": worst, "fd_asymmetry_fragment": label,
+            "fd_asymmetry_missing": missing}
+
+
 def _finish_obs(args, tracer, result, command: str, config: dict) -> None:
     """Write the requested telemetry files after a pipeline run."""
     if tracer is None:
@@ -129,6 +148,7 @@ def _finish_obs(args, tracer, result, command: str, config: dict) -> None:
         extras["canonical_cache"] = dict(result.canonical)
         if result.spectrum is not None:
             extras["quadrature_delta"] = result.spectrum.quadrature_delta
+        extras.update(_fd_asymmetry_extras(result))
         manifest = collect_manifest(
             command=command, config=config,
             seeds={"seed": getattr(args, "seed", None)},

@@ -102,20 +102,27 @@ def _exact_two_electron_gradient(scf: SCFResult, amap: np.ndarray,
 def _df_two_electron_gradient(scf: SCFResult, amap: np.ndarray,
                               base: BaseIntegrals | None = None
                               ) -> np.ndarray:
+    """The DF two-electron gradient, from the SCF's own metric factor.
+
+    M = V^-1 enters only through the SCF's Cholesky factor L (V = L L^T,
+    b = A L^-T): c = M gamma is a ``cho_solve`` with L, Ã = A M = b L^-1
+    is one triangular solve on the whitened b, and M T M is one GEMM of
+    PÃ, (M T M)_PQ = sum_ac (PÃ_P)_ac (PÃ_Q)_ca. Had the SCF factored a
+    jittered metric, this is the gradient of the energy it minimized.
+    """
     df = scf.df
     engine = scf.engine
     p = scf.density
     a3 = df.j3c                      # (nbf, nbf, naux)
-    v = df.v2c
+    naux = df.naux
     aux_amap = df.aux.function_atom_map()
 
-    cho = scipy.linalg.cho_factor(v)
     gamma = np.einsum("abP,ab->P", a3, p)
-    c = scipy.linalg.cho_solve(cho, gamma)
+    c = scipy.linalg.cho_solve((df.chol, True), gamma)
 
     # (3, nbf, nbf, naux) and (3, naux, naux)
-    d3 = engine.three_center_deriv(df.aux_blocks, df.naux, base)
-    dv2 = engine.two_center_deriv(df.aux_blocks, df.naux, base)
+    d3 = engine.three_center_deriv(df.aux_blocks, naux, base)
+    dv2 = engine.two_center_deriv(df.aux_blocks, naux, base)
 
     natm = scf.geometry.natoms
     g = np.zeros((natm, 3))
@@ -134,17 +141,13 @@ def _df_two_electron_gradient(scf: SCFResult, amap: np.ndarray,
     # Ã_P = sum_Q M_PQ A_Q  and  W_P = P Ã_P P  (BLAS-shaped contractions:
     # these are the gradient's largest intermediates)
     nbf = p.shape[0]
-    atil = scipy.linalg.cho_solve(cho, a3.reshape(-1, df.naux).T).T.reshape(
-        a3.shape
-    )
-    pat = (p @ atil.reshape(nbf, -1)).reshape(nbf, nbf, df.naux)  # (a,c,P)
+    atil = scipy.linalg.solve_triangular(
+        df.chol, df.b.reshape(-1, naux).T, trans="T", lower=True
+    ).T
+    pat = (p @ atil.reshape(nbf, -1)).reshape(nbf, nbf, naux)  # (a,c,P)
     w3 = np.tensordot(pat, p, axes=([1], [0])).transpose(0, 2, 1)  # (a,d,P)
-    # T_PQ = tr(P A_P P A_Q): build via PA once
-    pa = (p @ a3.reshape(nbf, -1)).reshape(nbf, nbf, df.naux)     # (a,c,P)
-    b1 = pa.reshape(nbf * nbf, df.naux)                  # [(a,c), P]
-    b2 = pa.transpose(1, 0, 2).reshape(nbf * nbf, df.naux)  # [(a,c), Q] of pa[c,a,Q]
-    t_mat = b1.T @ b2
-    mtm = scipy.linalg.cho_solve(cho, scipy.linalg.cho_solve(cho, t_mat).T)
+    mtm = (pat.reshape(nbf * nbf, naux).T
+           @ pat.transpose(1, 0, 2).reshape(nbf * nbf, naux))
 
     slot_k = -np.einsum("xabP,abP->xa", d3, w3)
     aux_k = np.einsum("xabP,abP->xP", d3, w3)

@@ -11,7 +11,7 @@ searched for partners.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,10 +27,10 @@ def min_distance(coords_a: np.ndarray, coords_b: np.ndarray) -> float:
 class CellList:
     """Spatial hash of points on a cubic grid of side ``cell_size``.
 
-    Points are assigned integer cell coordinates; queries enumerate the
-    27-cell neighborhood, so any pair within ``cell_size`` is guaranteed
-    to be found (pairs slightly beyond may also be returned and must be
-    distance-filtered by the caller, which :func:`pairs_within` does).
+    Points are assigned integer cell coordinates; a point query
+    enumerates the 27-cell neighborhood, so every stored point within
+    ``cell_size`` is returned (points slightly beyond may be too, and
+    must be distance-filtered by the caller).
     """
 
     def __init__(self, coords: np.ndarray, cell_size: float):
@@ -60,33 +60,11 @@ class CellList:
                         out.extend(bucket)
         return out
 
-    def pairs(self) -> Iterable[tuple[int, int]]:
-        """Yield candidate point pairs (i < j) from neighboring cells.
 
-        Distances are NOT checked here; callers filter.
-        """
-        offsets = [
-            (dx, dy, dz)
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dz in (-1, 0, 1)
-        ]
-        # Only scan "forward" half of the offsets to avoid double counting
-        # between distinct cells; same cell handled separately.
-        forward = [o for o in offsets if o > (0, 0, 0)]
-        for key, bucket in self._cells.items():
-            # intra-cell pairs
-            for ii in range(len(bucket)):
-                for jj in range(ii + 1, len(bucket)):
-                    yield (bucket[ii], bucket[jj])
-            # inter-cell pairs with forward neighbors
-            for off in forward:
-                nk = (key[0] + off[0], key[1] + off[1], key[2] + off[2])
-                other = self._cells.get(nk)
-                if other:
-                    for i in bucket:
-                        for j in other:
-                            yield (min(i, j), max(i, j))
+#: the 13 neighbour offsets after (0, 0, 0) in lexicographic order: a
+#: cell joined with itself and these visits every adjacent cell pair once
+_FORWARD = np.array([(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                     for dz in (-1, 0, 1) if (dx, dy, dz) > (0, 0, 0)])
 
 
 def pairs_within(
@@ -105,35 +83,66 @@ def pairs_within(
 
     Notes
     -----
-    Implementation: build a cell list over *all atoms* tagged with their
-    group id, enumerate candidate atom pairs from neighboring cells, and
-    keep group pairs with at least one atom pair within threshold. This
-    is O(atoms) for liquids at fixed density, matching what the paper's
-    master process must do when enumerating the 128 M water-water
-    concaps.
+    Implementation: a cell list over *all atoms* tagged with their group
+    id, as array passes. Atoms are sorted by the key of their cube of
+    side λ; each occupied cell is joined with itself and its 13 forward
+    neighbours, and one distance filter over the candidate atom pairs
+    keeps the group pairs with at least one atom pair within threshold.
+    This is O(atoms) for liquids at fixed density, matching what the
+    paper's master process must do when enumerating the 128 M
+    water-water concaps.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     sizes = [np.asarray(c).reshape(-1, 3).shape[0] for c in group_coords]
     if any(s == 0 for s in sizes):
         raise ValueError("empty group in pairs_within")
-    all_coords = np.vstack([np.asarray(c, dtype=float).reshape(-1, 3) for c in group_coords])
-    owner = np.repeat(np.arange(len(group_coords)), sizes)
+    if not sizes:
+        return []
+    coords = np.vstack([np.asarray(c, dtype=float).reshape(-1, 3)
+                        for c in group_coords])
+    owner = np.repeat(np.arange(len(sizes)), sizes)
 
-    cl = CellList(all_coords, cell_size=threshold)
-    found: set[tuple[int, int]] = set()
+    # cell keys shifted so that every neighbour key is non-negative,
+    # then linearized; equal keys are contiguous after the sort
+    keys = np.floor(coords / threshold).astype(np.int64)
+    keys -= keys.min(axis=0) - 1
+    dims = keys.max(axis=0) + 2
+    if float(np.prod(dims.astype(float))) >= 2.0 ** 62:
+        raise ValueError("coordinates span too many cells for pairs_within")
+    stride = np.array([dims[1] * dims[2], dims[2], 1])
+    cell = keys @ stride
+    order = np.argsort(cell, kind="stable")
+    cells, start, count = np.unique(cell[order], return_index=True,
+                                    return_counts=True)
+
     thr2 = threshold * threshold
-    for i, j in cl.pairs():
-        gi, gj = int(owner[i]), int(owner[j])
-        if gi == gj:
-            continue
-        key = (gi, gj) if gi < gj else (gj, gi)
-        if key in found:
-            continue
-        d = all_coords[i] - all_coords[j]
-        if float(d @ d) <= thr2:
-            found.add(key)
-    return sorted(found)
+    ngroups = len(sizes)
+    found = []
+    for offset in [np.zeros(3, dtype=np.int64), *_FORWARD]:
+        target = cells + offset @ stride
+        hit = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
+        a = np.flatnonzero(cells[hit] == target)
+        b = hit[a]
+        # every (atom of cell a, atom of cell b) pair, cell pair by pair
+        npairs = count[a] * count[b]
+        which = np.repeat(np.arange(len(a)), npairs)
+        local = np.arange(npairs.sum()) - np.repeat(np.cumsum(npairs) - npairs,
+                                                    npairs)
+        ia, ib = np.divmod(local, count[b][which])
+        if not offset.any():
+            keep = ia < ib          # within one cell: each pair once
+            which, ia, ib = which[keep], ia[keep], ib[keep]
+        i = order[start[a][which] + ia]
+        j = order[start[b][which] + ib]
+        gi, gj = owner[i], owner[j]
+        diff = coords[i] - coords[j]
+        near = (gi != gj) & (np.add.reduce(diff * diff, axis=1) <= thr2)
+        lo = np.minimum(gi[near], gj[near])
+        hi = np.maximum(gi[near], gj[near])
+        found.append(lo * ngroups + hi)
+    lo, hi = np.divmod(np.unique(np.concatenate(found)), ngroups)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def count_pairs_within(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -705,6 +705,31 @@ def _kinetic_block(blk: PairBlock, ex: list[np.ndarray]) -> np.ndarray:
 # the engine
 # ---------------------------------------------------------------------------
 
+def _accounted(method):
+    """Account the class contractions of one public integral call through
+    the batched-GEMM seam once, when the outermost such call returns;
+    while it runs, each contraction appends its (batch, m, n, k) to
+    ``self._gemms``."""
+
+    @wraps(method)
+    def call(self, *args, **kwargs):
+        if self._gemms is not None:        # nested in another public call
+            return method(self, *args, **kwargs)
+        self._gemms = []
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            records, self._gemms = self._gemms, None
+            if records:
+                # deferred: repro.kernels pulls in the DFPT worker stack,
+                # which imports the SCF layer, which imports this module
+                from repro.kernels.batched import kernel_seam
+
+                kernel_seam().record_contractions(records)
+
+    return call
+
+
 class IntegralEngine:
     """Integral driver for one basis set over one geometry.
 
@@ -744,6 +769,9 @@ class IntegralEngine:
             "pair_combinations_evaluated": 0,
             "pair_combinations_screened": 0,
         }
+        #: the (batch, m, n, k) class contractions of the running public
+        #: call (:func:`_accounted`); None between calls
+        self._gemms: list[tuple[int, int, int, int]] | None = None
 
     # -- Schwarz screening ---------------------------------------------------
 
@@ -830,6 +858,7 @@ class IntegralEngine:
 
     # -- one-electron -------------------------------------------------------
 
+    @_accounted
     def overlap(self) -> np.ndarray:
         s = np.zeros((self.nbf, self.nbf))
         for blk in self.blocks:
@@ -837,6 +866,7 @@ class IntegralEngine:
             self._record_one_electron(blk)
         return s
 
+    @_accounted
     def kinetic(self) -> np.ndarray:
         t = np.zeros((self.nbf, self.nbf))
         for blk in self.blocks:
@@ -844,6 +874,7 @@ class IntegralEngine:
             self._record_one_electron(blk)
         return t
 
+    @_accounted
     def nuclear(self, per_atom: bool = False) -> np.ndarray:
         """Nuclear attraction V (negative). With ``per_atom``, returns
         shape (natoms, nbf, nbf): the contribution of each nucleus
@@ -885,6 +916,7 @@ class IntegralEngine:
         total = -(contrib * self.charges[None, :, None]).sum(axis=1)
         return total.reshape(blk.npair, na, nb)
 
+    @_accounted
     def dipole(self, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
         """Dipole moment integrals <mu| r_d - origin_d |nu>, shape (3, nbf, nbf).
 
@@ -907,12 +939,8 @@ class IntegralEngine:
     # -- accounting ---------------------------------------------------------
 
     def _record_class_gemm(self, batch: int, m: int, n: int, k: int) -> None:
-        """Account one class contraction through the batched-GEMM seam."""
-        # deferred: repro.kernels pulls in the DFPT worker stack, which
-        # imports the SCF layer, which imports this module
-        from repro.kernels.batched import kernel_seam
-
-        kernel_seam().record_contraction(batch, m, n, k)
+        """Queue one class contraction for the running call's accounting."""
+        self._gemms.append((batch, m, n, k))
 
     def _record_one_electron(self, blk: PairBlock) -> None:
         """Account one one-electron class contraction (primitives summed)."""
@@ -930,6 +958,7 @@ class IntegralEngine:
         q = self._schwarz_block(blk, e3[0], e3s[0]) if bound else None
         return e3, e3s, q
 
+    @_accounted
     def coulomb_block(self, bra: PairBlock, ket: PairBlock,
                       q_bra: np.ndarray | None = None,
                       q_ket: np.ndarray | None = None) -> np.ndarray:
@@ -950,6 +979,7 @@ class IntegralEngine:
                              q_bra, q_ket)
         return vals.reshape(*bra.dims, *ket.dims)
 
+    @_accounted
     def coulomb_block_deriv(self, bra: PairBlock, ket: PairBlock) -> np.ndarray:
         """Bra-a-center derivative of the Coulomb interaction.
 
@@ -1083,6 +1113,7 @@ class IntegralEngine:
                                         nck * k2k)
         return [out.reshape(-1, bra.npair, nab, npk, ncd) for out in outs]
 
+    @_accounted
     def eri(self, base: BaseIntegrals | None = None) -> np.ndarray:
         """Exact ERI tensor (chemists' notation (ab|cd)), full nbf^4.
 
@@ -1114,6 +1145,7 @@ class IntegralEngine:
 
     # -- density fitting ------------------------------------------------------
 
+    @_accounted
     def three_center(self, aux_blocks: list[PairBlock], naux: int,
                      base: BaseIntegrals | None = None) -> np.ndarray:
         """Three-center integrals (ab|P), shape (nbf, nbf, naux).
@@ -1145,6 +1177,7 @@ class IntegralEngine:
                                                    sel.blk.npair, -1))
         return out
 
+    @_accounted
     def two_center(self, aux_blocks: list[PairBlock], naux: int,
                    base: BaseIntegrals | None = None) -> np.ndarray:
         """Two-center Coulomb metric (P|Q), shape (naux, naux); with
@@ -1262,6 +1295,7 @@ class IntegralEngine:
                     scatter_ordered(dv_nuc[d, c], blk, vals)
         return dv_bra, dv_nuc
 
+    @_accounted
     def three_center_deriv(self, aux_blocks: list[PairBlock], naux: int,
                            base: BaseIntegrals | None = None) -> np.ndarray:
         """d(ab|P)/d(center of a), shape (3, nbf, nbf, naux).
@@ -1291,6 +1325,7 @@ class IntegralEngine:
                                           vals_t=vals[3 + d])
         return out
 
+    @_accounted
     def two_center_deriv(self, aux_blocks: list[PairBlock], naux: int,
                          base: BaseIntegrals | None = None) -> np.ndarray:
         """d(P|Q)/d(center of P), shape (3, naux, naux), all ordered (P, Q);
@@ -1312,6 +1347,7 @@ class IntegralEngine:
                         scatter_pairs_2c(out[d], bra.blk, sel.blk, vals[d])
         return out
 
+    @_accounted
     def eri_deriv(self, base: BaseIntegrals | None = None) -> np.ndarray:
         """dA-slot derivative of the exact ERI tensor.
 

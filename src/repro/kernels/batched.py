@@ -104,12 +104,14 @@ class BatchedGemmExecutor:
         self._requests.clear()
         return results  # type: ignore[return-value]
 
-    def record_contraction(self, batch: int, m: int, n: int, k: int,
-                           label: str = "class") -> None:
-        """Account one already-executed class contraction as a batched GEMM.
+    def record_contractions(self, records: list[tuple[int, int, int, int]]
+                            ) -> None:
+        """Account already-executed class contractions as batched GEMMs.
 
-        The integral engine evaluates each angular-momentum class with a
-        single vectorized einsum — one batched GEMM per class in the
+        ``records`` holds one ``(batch, m, n, k)`` per contraction; the
+        integral engine passes those of one public call at once. The
+        engine evaluates each angular-momentum class with a single
+        vectorized contraction — one batched GEMM per class in the
         paper's elastic-offload picture. Padding the executed arrays to
         the stride would change the BLAS reduction tree and break the
         scalar/batched bit-identity promise, so the contraction runs
@@ -119,20 +121,22 @@ class BatchedGemmExecutor:
         Mirrored into the run-wide :mod:`repro.obs` counter registry
         (``kernels.*``; see docs/performance.md).
         """
-        if batch <= 0:
+        shapes = np.array([r for r in records if r[0] > 0],
+                          dtype=np.int64).reshape(-1, 4)
+        if not len(shapes):
             return
-        useful = batch * gemm_flops(m, n, k)
-        padded = batch * gemm_flops(
-            pad_to_stride(m, self.stride),
-            pad_to_stride(n, self.stride),
-            pad_to_stride(k, self.stride),
-        )
+        batch, dims = shapes[:, 0], shapes[:, 1:]
+        if (dims <= 0).any():
+            raise ValueError("dimension must be positive")
+        padded_dims = -(-dims // self.stride) * self.stride
+        useful = int((batch * gemm_flops(*dims.T)).sum())
+        padded = int((batch * gemm_flops(*padded_dims.T)).sum())
         self.flops.add("useful", useful)
         self.flops.add("padded", padded)
-        self.batches_executed += 1
+        self.batches_executed += len(shapes)
         reg = counters()
-        reg.inc("kernels.class_gemms")
-        reg.inc("kernels.gemms_batched", batch)
+        reg.inc("kernels.class_gemms", len(shapes))
+        reg.inc("kernels.gemms_batched", int(batch.sum()))
         reg.inc("kernels.useful_flops", useful)
         reg.inc("kernels.padded_flops", padded)
 

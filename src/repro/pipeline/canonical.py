@@ -406,6 +406,8 @@ class CanonicalStore:
         for name in ("dalpha_dr", "alpha"):
             if getattr(response, name) is not None:
                 payload[name] = getattr(response, name)
+        if "fd_asymmetry" in response.meta:
+            payload["fd_asymmetry"] = np.array(response.meta["fd_asymmetry"])
         payload.update(
             lab_coords=np.asarray(geometry.coords, dtype=float),
             task_key=np.array(task_key(geometry, basis_name, delta,
@@ -459,6 +461,9 @@ class CanonicalStore:
             # key collision or a quantization-edge geometry must become
             # a recompute, never a mis-rotated tensor
             return self._reject("frame")
+        meta = {"cached": True}
+        if "fd_asymmetry" in data:    # entries written before it was kept lack it
+            meta["fd_asymmetry"] = float(data["fd_asymmetry"])
         stored = FragmentResponse(
             geometry=geometry,
             energy=float(data["energy"]),
@@ -466,7 +471,7 @@ class CanonicalStore:
             dalpha_dr=data.get("dalpha_dr"),
             alpha=data.get("alpha"),
             gradient=data["gradient"],
-            meta={"cached": True},
+            meta=meta,
         )
         if str(data["task_key"]) == target_key:
             self.hits += 1

@@ -180,23 +180,13 @@ class QFRamanPipeline:
         responses.
         """
         # -- plan: what does each piece resolve to? --------------------------
-        # rep[sig] = index of the latest representative piece for sig
-        rep: dict[tuple, int] = {}
-        plan: list[tuple] = []          # ("rotate", ref_idx, rot) |
-        #                                 ("cached", resp) | ("compute",)
-        tasks: list[FragmentTask] = []
         pieces = decomposition.pieces
+        copies = _rigid_copies(pieces)
+        stored: dict[int, FragmentResponse] = {}
+        tasks: list[FragmentTask] = []
         for k, piece in enumerate(pieces):
-            sig = geometry_signature(piece.geometry)
-            if sig in rep:
-                ref_geom = pieces[rep[sig]].geometry
-                rot, _t, rmsd = kabsch_rotation(
-                    ref_geom.coords, piece.geometry.coords
-                )
-                if rmsd < 1.0e-6:
-                    plan.append(("rotate", rep[sig], rot))
-                    continue
-            rep[sig] = k
+            if k not in copies:
+                continue
             task = FragmentTask(
                 index=k,
                 label=piece.label or f"piece-{k}",
@@ -207,12 +197,11 @@ class QFRamanPipeline:
                 eri_mode=self.eri_mode,
                 schwarz_cutoff=self.schwarz_cutoff,
             )
-            stored = (self.canonical.load_task(task)
-                      if self.canonical is not None else None)
-            if stored is not None:
-                plan.append(("cached", stored))
+            hit = (self.canonical.load_task(task)
+                   if self.canonical is not None else None)
+            if hit is not None:
+                stored[k] = hit
             else:
-                plan.append(("compute",))
                 tasks.append(task)
 
         # -- execute the remaining unique pieces -----------------------------
@@ -246,35 +235,28 @@ class QFRamanPipeline:
         # a run under skip_and_report may come back with
         # fragments missing; their entries (and any rigid duplicates
         # rotated off them) become None and are flagged for the caller
-        responses: list[FragmentResponse | None] = []
-        self.skipped_fragments = []
+        responses: list[FragmentResponse | None] = [None] * len(pieces)
         self.rigid_rotations = 0
-        for k, (piece, entry) in enumerate(zip(pieces, plan)):
-            kind = entry[0]
-            label = piece.label or f"piece-{k}"
-            if kind == "compute":
-                resp = computed.get(k)
-                if resp is None:
-                    self.skipped_fragments.append(label)
-                    counters().inc("pipeline.skipped_fragments")
-                responses.append(resp)
-            elif kind == "cached":
-                responses.append(entry[1])
-            else:  # rotate off the representative (computed or cached)
-                _kind, ref_idx, rot = entry
-                if responses[ref_idx] is None:
-                    self.skipped_fragments.append(label)
-                    counters().inc("pipeline.skipped_fragments")
-                    responses.append(None)
-                    continue
-                counters().inc("pipeline.rigid_rotations")
-                self.rigid_rotations += 1
-                with get_tracer().span("rotate_response"):
-                    responses.append(
-                        rotate_response(responses[ref_idx], rot,
-                                        piece.geometry)
-                    )
+        for k, (members, rotations) in copies.items():
+            resp = stored[k] if k in stored else computed.get(k)
+            responses[k] = resp
+            if resp is None or not members:
+                continue
+            counters().inc("pipeline.rigid_rotations", len(members))
+            self.rigid_rotations += len(members)
+            with get_tracer().span("rotate_response", copies=len(members)):
+                rotated = rotate_response(
+                    resp, rotations, [pieces[j].geometry for j in members])
+            for j, r in zip(members, rotated):
+                responses[j] = r
+        self.skipped_fragments = [
+            piece.label or f"piece-{k}"
+            for k, (piece, resp) in enumerate(zip(pieces, responses))
+            if resp is None
+        ]
         if self.skipped_fragments:
+            counters().inc("pipeline.skipped_fragments",
+                           len(self.skipped_fragments))
             self._log(
                 f"WARNING: assembling a PARTIAL spectrum — "
                 f"{len(self.skipped_fragments)} piece(s) missing: "
@@ -396,3 +378,34 @@ class QFRamanPipeline:
     def _log(self, msg: str) -> None:
         if self.verbose:
             print(f"[qf-raman] {msg}", file=sys.stderr, flush=True)
+
+
+def _rigid_copies(pieces: list) -> dict[int, tuple[list[int], np.ndarray]]:
+    """Resolve in-run rigid duplicates: representative piece index ->
+    (indices of the copies rotated off it, their stacked rotations).
+
+    Pieces with equal :func:`geometry_signature` form a class; the first
+    is its representative, and each later piece whose Kabsch fit to the
+    latest representative has RMSD below 1e-6 is a copy. A piece that
+    fails the fit becomes the class's representative for the pieces
+    after it. One Kabsch call fits all remaining copies of a class, and
+    the class splits at the first failure.
+    """
+    classes: dict[tuple, list[int]] = {}
+    for k, piece in enumerate(pieces):
+        classes.setdefault(geometry_signature(piece.geometry), []).append(k)
+    copies: dict[int, tuple[list[int], np.ndarray]] = {}
+    for members in classes.values():
+        head, rest = members[0], members[1:]
+        while rest:
+            rot, _t, rmsd = kabsch_rotation(
+                pieces[head].geometry.coords,
+                np.stack([pieces[j].geometry.coords for j in rest]))
+            fails = np.flatnonzero(~(rmsd < 1.0e-6))
+            cut = int(fails[0]) if fails.size else len(rest)
+            copies[head] = (rest[:cut], rot[:cut])
+            if cut == len(rest):
+                break
+            head, rest = rest[cut], rest[cut + 1:]
+        copies.setdefault(head, ([], np.zeros((0, 3, 3))))
+    return copies

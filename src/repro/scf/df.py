@@ -100,6 +100,10 @@ class DensityFitting:
         Two-center Coulomb metric (P|Q), shape (naux, naux).
     b:
         Cholesky-whitened three-center tensor: (ab|cd) ~= b_ab . b_cd.
+    chol:
+        Lower Cholesky factor L of the metric, V = L L^T, with b = j3c
+        L^-T. If V needed a diagonal jitter to factor, L factors the
+        jittered metric, and the SCF energy is minimized with it.
 
     With ``base`` (the :class:`~repro.integrals.engine.BaseIntegrals` of
     a geometry that differs in the atoms ``base.moved``), ``j3c`` and
@@ -127,6 +131,7 @@ class DensityFitting:
                 jitter = max(jitter * 10.0, 1e-10)
         else:  # pragma: no cover - pathological aux basis
             raise RuntimeError("DF metric not positive definite")
+        self.chol = chol
         nbf = engine.nbf
         flat = self.j3c.reshape(nbf * nbf, self.naux)
         self.b = scipy.linalg.solve_triangular(

@@ -81,3 +81,51 @@ def solve_iterative(scf, conv_tol: float = 1e-12, max_iter: int = 200):
     p1 = response_density(scf, u)
     alpha = -np.einsum("xab,yab->xy", dip, p1)
     return alpha, u, p1, it
+
+
+def df_two_electron_gradient(scf, amap, base=None):
+    """The DF two-electron gradient with its own factorization of the
+    metric: ``cho_factor(V)``, ``cho_solve`` for Ã = A M over nbf^2
+    right-hand sides, and M T M as two more solves on T_PQ =
+    tr(P A_P P A_Q)."""
+    import scipy.linalg
+
+    df = scf.df
+    engine = scf.engine
+    p = scf.density
+    a3 = df.j3c
+    v = df.v2c
+    aux_amap = df.aux.function_atom_map()
+    cho = scipy.linalg.cho_factor(v)
+    gamma = np.einsum("abP,ab->P", a3, p)
+    c = scipy.linalg.cho_solve(cho, gamma)
+    d3 = engine.three_center_deriv(df.aux_blocks, df.naux, base)
+    dv2 = engine.two_center_deriv(df.aux_blocks, df.naux, base)
+    natm = scf.geometry.natoms
+    g = np.zeros((natm, 3))
+    dj = np.einsum("xabP,P->xab", d3, c)
+    slot_j = 2.0 * np.einsum("xab,ab->xa", dj, p)
+    taux = np.einsum("xabP,ab->xP", d3, p)
+    for i in range(natm):
+        g[i] += slot_j[:, amap == i].sum(axis=1)
+        sel = aux_amap == i
+        g[i] += -2.0 * (taux[:, sel] * c[sel]).sum(axis=1)
+        g[i] += -np.einsum("P,xPQ,Q->x", c[sel], dv2[:, sel], c)
+    nbf = p.shape[0]
+    atil = scipy.linalg.cho_solve(cho, a3.reshape(-1, df.naux).T).T.reshape(
+        a3.shape)
+    pat = (p @ atil.reshape(nbf, -1)).reshape(nbf, nbf, df.naux)
+    w3 = np.tensordot(pat, p, axes=([1], [0])).transpose(0, 2, 1)
+    pa = (p @ a3.reshape(nbf, -1)).reshape(nbf, nbf, df.naux)
+    b1 = pa.reshape(nbf * nbf, df.naux)
+    b2 = pa.transpose(1, 0, 2).reshape(nbf * nbf, df.naux)
+    t_mat = b1.T @ b2
+    mtm = scipy.linalg.cho_solve(cho, scipy.linalg.cho_solve(cho, t_mat).T)
+    slot_k = -np.einsum("xabP,abP->xa", d3, w3)
+    aux_k = np.einsum("xabP,abP->xP", d3, w3)
+    for i in range(natm):
+        g[i] += slot_k[:, amap == i].sum(axis=1)
+        sel = aux_amap == i
+        g[i] += aux_k[:, sel].sum(axis=1)
+        g[i] += 0.5 * np.einsum("xPQ,PQ->x", dv2[:, sel], mtm[sel])
+    return g

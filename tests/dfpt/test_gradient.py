@@ -125,3 +125,52 @@ def test_exact_two_electron_gradient_matches_oracle():
     np.testing.assert_allclose(_exact_two_electron_gradient(res, amap),
                                _oracle_two_electron_gradient(res, amap),
                                rtol=0, atol=1e-10)
+
+
+def _df_scf(geom):
+    res = RHF(geom, eri_mode="df").run()
+    assert res.converged
+    return res
+
+
+#: relative bound per system. On the capped GLY (cond V = 1e7) the
+#: oracle's two solves on T leave 2.4e-7 relative error in M T M, which
+#: reaches the gradient at 1.28e-12; against an 80-bit extended-precision
+#: M T M the GEMM of PÃ is off by 7.5e-15 and the oracle by 1.28e-12
+DF_GRADIENT_RTOL = {"water_distorted": 1e-12, "glycine": 2e-12}
+
+
+@pytest.mark.parametrize("system", sorted(DF_GRADIENT_RTOL))
+def test_df_two_electron_gradient_matches_oracle(request, system):
+    """The SCF's own metric factor against a fresh ``cho_factor`` of V
+    and the T-then-two-solves route to M T M (tests/dfpt/oracle.py)."""
+    from repro.dfpt.gradient import _df_two_electron_gradient
+    from tests.dfpt import oracle as dfpt_oracle
+
+    res = _df_scf(request.getfixturevalue(system))
+    amap = res.basis.function_atom_map()
+    got = _df_two_electron_gradient(res, amap)
+    ref = dfpt_oracle.df_two_electron_gradient(res, amap)
+    rel = np.abs(got - ref).max() / np.abs(ref).max()
+    assert rel <= DF_GRADIENT_RTOL[system]
+
+
+@pytest.mark.slow
+def test_capped_gly_response_unchanged_by_the_df_gradient(glycine,
+                                                         monkeypatch):
+    """H and dα/dR of the capped GLY stay within the DF reuse bound
+    (1e-8, tests/dfpt/test_reuse.py) of the oracle gradient's."""
+    import importlib
+
+    from repro.dfpt import fragment_response
+    from tests.dfpt import oracle as dfpt_oracle
+
+    gradient_module = importlib.import_module("repro.dfpt.gradient")
+
+    new = fragment_response(glycine, eri_mode="df")
+    monkeypatch.setattr(gradient_module, "_df_two_electron_gradient",
+                        dfpt_oracle.df_two_electron_gradient)
+    old = fragment_response(glycine, eri_mode="df")
+    np.testing.assert_allclose(new.hessian, old.hessian, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(new.dalpha_dr, old.dalpha_dr, rtol=0,
+                               atol=1e-8)

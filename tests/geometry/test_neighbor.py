@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.neighbor import CellList, count_pairs_within, min_distance, pairs_within
+from tests.geometry import oracle
 
 
 def test_min_distance_brute():
@@ -18,15 +19,14 @@ def test_cell_list_neighbors_of_point():
 
 
 def test_cell_list_pairs_complete_vs_bruteforce():
+    """The vectorized cell list finds every point pair within the cell
+    size (one point per group) and nothing beyond it."""
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 12, size=(60, 3))
-    cl = CellList(pts, cell_size=3.0)
-    candidates = set(cl.pairs())
-    # every actual pair within the cell size must appear as a candidate
-    for i in range(60):
-        for j in range(i + 1, 60):
-            if np.linalg.norm(pts[i] - pts[j]) <= 3.0:
-                assert (i, j) in candidates
+    got = pairs_within(list(pts[:, None, :]), 3.0)
+    expect = [(i, j) for i in range(60) for j in range(i + 1, 60)
+              if np.linalg.norm(pts[i] - pts[j]) <= 3.0]
+    assert got == expect
 
 
 def test_pairs_within_matches_bruteforce():
@@ -66,3 +66,43 @@ def test_negative_coordinates_handled():
         np.array([[-5.5, -5.0, -5.0]]),
     ]
     assert pairs_within(groups, 1.0) == [(0, 1)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pairs_within_matches_cell_list_oracle(seed):
+    """Random clusters of 1-5 atom groups straddling the origin: the
+    array passes return exactly the dict cell list's sorted pairs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        scale = rng.uniform(2.0, 25.0)
+        groups = [rng.uniform(-scale, scale, size=(rng.integers(1, 6), 3))
+                  for _ in range(rng.integers(1, 80))]
+        threshold = rng.uniform(0.5, 6.0)
+        assert pairs_within(groups, threshold) == oracle.pairs_within(
+            groups, threshold)
+
+
+def test_pairs_within_exactly_at_threshold():
+    """Pairs exactly λ apart are kept, across cell boundaries and at
+    negative coordinates; pairs just beyond are not."""
+    lam = 4.0
+    groups = [
+        np.array([[-2.0, 0.0, 0.0]]),
+        np.array([[2.0, 0.0, 0.0]]),            # λ from 0 along x
+        np.array([[2.0, -4.0, 0.0]]),           # λ from 1 along y
+        np.array([[-2.0, 0.0, -4.0]]),          # λ from 0 along z
+        np.array([[6.0, 0.0, np.nextafter(0.0, 1.0)]]),
+        np.array([[10.0 + 1e-12, 0.0, 0.0]]),   # just beyond λ from 4
+        np.array([[-8.0, -8.0, -8.0], [-6.0, -8.0, -8.0]]),
+        np.array([[-8.0, -8.0, -4.0]]),         # λ from group 6's first atom
+    ]
+    expect = [(0, 1), (0, 3), (1, 2), (1, 4), (6, 7)]
+    assert pairs_within(groups, lam) == expect
+    assert oracle.pairs_within(groups, lam) == expect
+
+
+def test_pairs_within_matches_oracle_on_liquid_box():
+    from repro.geometry import water_box
+
+    groups = [w.coords_angstrom() for w in water_box(125, seed=3)]
+    assert pairs_within(groups, 4.0) == oracle.pairs_within(groups, 4.0)

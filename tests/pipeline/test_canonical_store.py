@@ -226,3 +226,17 @@ def test_stats_and_keys_accounting(tmp_path):
         store.key(_geometry(0), "sto-3g", 5.0e-3)
     }
     assert canonicalize(_geometry(0)).key != canonicalize(_geometry(1)).key
+
+
+def test_fd_asymmetry_survives_the_store(tmp_path):
+    """An entry keeps the FD asymmetry of the response it stores; one
+    written without it loads without it (and the CLI manifest counts
+    such responses as ``fd_asymmetry_missing``)."""
+    store = CanonicalStore(tmp_path)
+    with_number = _response(0)
+    with_number.meta["fd_asymmetry"] = 3.5e-6
+    store.store(_geometry(0), with_number, "sto-3g", 5e-3)
+    store.store(_geometry(1), _response(1), "sto-3g", 5e-3)
+    loaded = store.load(_geometry(0), "sto-3g", 5e-3)
+    assert loaded.meta == {"cached": True, "fd_asymmetry": 3.5e-6}
+    assert store.load(_geometry(1), "sto-3g", 5e-3).meta == {"cached": True}

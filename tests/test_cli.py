@@ -54,6 +54,10 @@ def test_water_raman_telemetry_flags(tmp_path, capsys):
     assert m["phase_wall_s"]["gradient"] > 0
     # the quadrature health number exists only on the Lanczos solver
     assert m["extras"]["quadrature_delta"] is None
+    # the FD Hessian's largest asymmetry and the fragment that has it
+    assert 0.0 < m["extras"]["fd_asymmetry_max"] < 1e-3
+    assert m["extras"]["fd_asymmetry_fragment"] == "water[0]"
+    assert m["extras"]["fd_asymmetry_missing"] == 0
     # tracing was torn down at command exit
     from repro.obs import NULL_TRACER, get_tracer, tracing_requested
 
