@@ -21,8 +21,8 @@ Each job follows the paper's "reuse within a DFPT cycle" economies:
   with no function (orbital or auxiliary) on A keeps its base-geometry
   value. :func:`fragment_response` builds the base tensors once (the
   exact ``eri`` and ``eri_deriv``, or the density-fitting ``j3c``,
-  ``v2c`` and their derivatives, plus the Schwarz bound tables) and
-  hands them to every job as :class:`~repro.integrals.engine.BaseIntegrals`.
+  ``v2c`` and their derivatives) and hands them to every job as
+  :class:`~repro.integrals.engine.BaseIntegrals`.
   Each displaced SCF and gradient recomputes only the elements that
   touch A and copies the rest. The one-electron terms involve every
   nucleus and are rebuilt in full, as are the SCF iterations and CPHF.
@@ -189,24 +189,16 @@ def coordinate_job(
 
 def _retain(scf: SCFResult) -> BaseIntegrals:
     """The base integrals every coordinate job of a fragment reuses: the
-    converged SCF's two-electron tensors, their nuclear derivatives and
-    (when screening is on) the Schwarz bound tables, all at the base
-    geometry, with no atom moved yet."""
+    converged SCF's two-electron tensors and their nuclear derivatives,
+    all at the base geometry, with no atom moved yet."""
     engine = scf.engine
-    screen = engine.schwarz_cutoff > 0.0
-    pairs = (engine.schwarz_table(engine.blocks, scf.basis.nshells)
-             if screen else None)
     if scf.df is None:
-        return BaseIntegrals(eri=scf.eri, eri_deriv=engine.eri_deriv(),
-                             pair_bounds=pairs)
+        return BaseIntegrals(eri=scf.eri, eri_deriv=engine.eri_deriv())
     df = scf.df
     return BaseIntegrals(
         j3c=df.j3c, v2c=df.v2c,
         three_center_deriv=engine.three_center_deriv(df.aux_blocks, df.naux),
         two_center_deriv=engine.two_center_deriv(df.aux_blocks, df.naux),
-        pair_bounds=pairs,
-        aux_bounds=(engine.schwarz_table(df.aux_blocks, df.aux.nshells)
-                    if screen else None),
     )
 
 
@@ -223,7 +215,6 @@ def fragment_response(
     compute_raman: bool = True,
     basis_name: str = "sto-3g",
     eri_mode: str = "auto",
-    schwarz_cutoff: float = 1.0e-12,
     progress=None,
     pool: Executor | None = None,
 ) -> FragmentResponse:
@@ -240,9 +231,6 @@ def fragment_response(
         settings).
     compute_raman:
         Also run CPHF at every displacement for d(alpha)/dR.
-    schwarz_cutoff:
-        Schwarz screening threshold handed to the SCF integral engine
-        (see :mod:`repro.integrals.engine`); 0 disables screening.
     progress:
         Optional callback ``progress(done, total)`` — the pipeline uses
         this to emit worker heartbeats to the scheduler.
@@ -257,9 +245,7 @@ def fragment_response(
     the call and shipped with every coordinate job, which rebuilds only
     the elements that touch its displaced atom.
     """
-    scf_kwargs = dict(
-        basis_name=basis_name, eri_mode=eri_mode, schwarz_cutoff=schwarz_cutoff
-    )
+    scf_kwargs = dict(basis_name=basis_name, eri_mode=eri_mode)
     base = RHF(geometry, **scf_kwargs).run()
     if not base.converged:
         raise RuntimeError("base SCF failed to converge")
@@ -353,7 +339,6 @@ def fragment_response(
             # summed wall time of the coordinate jobs, wherever they
             # ran: the displacement executor's busy time
             "coordinate_jobs_s": jobs_s,
-            "schwarz_cutoff": schwarz_cutoff,
             "fd_asymmetry": asymmetry,
             "scf_iters_base": niter,
             "scf_iters_plus": iters_plus,

@@ -4,9 +4,11 @@ The engine in :mod:`repro.integrals.engine` evaluates each
 angular-momentum class with one einsum. This module removes the
 python-level loops over *pairs* around those einsums:
 
-* :func:`build_pair_blocks` — the whole pair list is screened,
-  canonicalized, classed, and packed into contiguous pair-major
-  primitive arrays with numpy gathers, without a per-pair python loop.
+* :func:`build_pair_blocks` — the whole pair list is screened by
+  Gaussian-product prefactor (:data:`PAIR_PREFACTOR_SCREEN`, the only
+  screening in the integral stack), canonicalized, classed, and packed
+  into contiguous pair-major primitive arrays with numpy gathers,
+  without a per-pair python loop.
 * :func:`scatter_symmetric` / :func:`scatter_ordered` /
   :func:`scatter_pairs_aux` / :func:`scatter_pairs_2c` /
   :func:`scatter_eri_deriv_ab` / :func:`scatter_eri` /
@@ -37,6 +39,7 @@ from repro.basis.gaussian import Shell
 from repro.obs.counters import counters
 
 __all__ = [
+    "PAIR_PREFACTOR_SCREEN",
     "build_pair_blocks",
     "scatter_symmetric",
     "scatter_ordered",
@@ -51,6 +54,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # vectorized pair-block construction
 # ---------------------------------------------------------------------------
+
+#: shell pairs whose largest primitive Gaussian-product prefactor
+#: exp(-q |AB|^2) falls below this are dropped by :func:`build_pair_blocks`
+PAIR_PREFACTOR_SCREEN = 1.0e-12
+
 
 def _shell_tables(shells: list[Shell]):
     """Per-shell gather tables: one O(nshells) pass, reused for every pair.
@@ -85,7 +93,6 @@ def build_pair_blocks(
     offsets: list[int],
     pairs: list[tuple[int, int]] | None = None,
     canonicalize: bool = True,
-    screen: float = 1.0e-12,
 ):
     """Group shell pairs into angular/contraction classes.
 
@@ -93,9 +100,9 @@ def build_pair_blocks(
     pair is swapped so la >= lb (fewer classes); derivative builders
     pass ordered pairs with ``canonicalize=False`` because the bra slot
     is meaningful there. Pairs whose largest primitive Gaussian-product
-    prefactor exp(-q |AB|^2) falls below ``screen`` are dropped — for
-    spatially extended fragments this prunes the quadratic pair count
-    to near-linear.
+    prefactor exp(-q |AB|^2) falls below :data:`PAIR_PREFACTOR_SCREEN`
+    are dropped — for spatially extended fragments this prunes the
+    quadratic pair count to near-linear.
 
     Blocks come in sorted class-key order, pairs within a class in
     their original order. The returned blocks are the contiguous,
@@ -118,16 +125,15 @@ def build_pair_blocks(
     if ii.size == 0:
         return []
 
-    if screen > 0.0:
-        diff = centers[ii] - centers[jj]
-        d2 = np.sum(diff * diff, axis=1)
-        amin = emin[ii]
-        bmin = emin[jj]
-        q = amin * bmin / (amin + bmin)
-        keep = np.exp(-q * d2) >= screen
-        ii, jj = ii[keep], jj[keep]
-        if ii.size == 0:
-            return []
+    diff = centers[ii] - centers[jj]
+    d2 = np.sum(diff * diff, axis=1)
+    amin = emin[ii]
+    bmin = emin[jj]
+    q = amin * bmin / (amin + bmin)
+    keep = np.exp(-q * d2) >= PAIR_PREFACTOR_SCREEN
+    ii, jj = ii[keep], jj[keep]
+    if ii.size == 0:
+        return []
 
     if canonicalize:
         swap = ls[ii] < ls[jj]

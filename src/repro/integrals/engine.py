@@ -49,7 +49,6 @@ from repro.integrals.batched import (
     scatter_pairs_aux,
     scatter_symmetric,
 )
-from repro.obs.counters import counters
 from repro.obs.tracer import get_tracer
 
 
@@ -374,10 +373,8 @@ class PairBlock:
         return shaped[idx].reshape(idx.size * self.k2, *arr.shape[1:])
 
     def subset(self, idx: np.ndarray) -> "PairBlock":
-        """View of this block restricted to the pairs in ``idx``.
-
-        Used by Schwarz screening to evaluate only surviving pairs.
-        """
+        """View of this block restricted to the pairs in ``idx``: the
+        touched or untouched pairs of a displacement-local build."""
         def prim(arr: np.ndarray) -> np.ndarray:
             return self.prim_rows(arr, idx)
 
@@ -405,9 +402,6 @@ class BaseIntegrals:
     every other element from its base tensor; with ``moved`` empty it
     returns a copy of the base tensor. One path fills the exact fields
     (``eri``, ``eri_deriv``), the other the density-fitting ones.
-    ``pair_bounds``/``aux_bounds`` are the base geometry's Schwarz
-    bounds by shell pair (:meth:`IntegralEngine.schwarz_table`), which
-    a screened build reads for the pairs it does not recompute.
     """
 
     moved: tuple[int, ...] = ()
@@ -417,19 +411,15 @@ class BaseIntegrals:
     v2c: np.ndarray | None = None
     three_center_deriv: np.ndarray | None = None
     two_center_deriv: np.ndarray | None = None
-    pair_bounds: np.ndarray | None = None
-    aux_bounds: np.ndarray | None = None
 
 
 @dataclass
 class _Side:
     """Pairs of one block selected for a build: a subset view of the
-    block (or the block itself), its operand stacks, and the indices of
-    the selected pairs in the block (None for all of them)."""
+    block (or the block itself) and its operand stacks."""
 
     blk: PairBlock
     ops: tuple[np.ndarray, ...]
-    idx: np.ndarray | None = None
 
 
 def _rows(blk: PairBlock, stack: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -458,8 +448,7 @@ def _split(blk: PairBlock, ops: tuple[np.ndarray, ...],
     def side(idx):
         if not idx.size:
             return None
-        return _Side(blk.subset(idx), tuple(_rows(blk, op, idx) for op in ops),
-                     idx)
+        return _Side(blk.subset(idx), tuple(_rows(blk, op, idx) for op in ops))
 
     return side(np.nonzero(hit)[0]), side(np.nonzero(~hit)[0])
 
@@ -739,122 +728,23 @@ class IntegralEngine:
         The orbital basis.
     charges, coords:
         Nuclear charges and positions (bohr) for nuclear attraction.
-    schwarz_cutoff:
-        Schwarz screening threshold for two-electron integrals. A
-        (bra-pair, ket-pair) combination is skipped when the bound
-        ``sqrt((ab|ab)) * sqrt((cd|cd))`` — a rigorous Cauchy–Schwarz
-        upper bound on every |(ab|cd)| in the combination — falls below
-        this value; skipped entries are exact zeros in the output, so
-        the absolute ERI error per element is at most the cutoff.
-        ``0`` disables screening (every combination evaluated).
-        Counters in :attr:`screen_stats` record evaluated vs skipped
-        pair combinations.
 
     Every two-electron method builds each block's E3 operands once per
     call, from one :meth:`PairBlock.e_tensors` build, and reuses them
-    across all the block pairs it contracts.
+    across all the block pairs it contracts. Every shell pair that
+    :func:`build_pair_blocks` keeps is contracted against every other:
+    there is no integral-level screening.
     """
 
-    def __init__(self, basis: BasisSet, charges: np.ndarray, coords: np.ndarray,
-                 schwarz_cutoff: float = 0.0):
+    def __init__(self, basis: BasisSet, charges: np.ndarray, coords: np.ndarray):
         self.basis = basis
         self.charges = np.asarray(charges, dtype=float).ravel()
         self.coords = np.asarray(coords, dtype=float).reshape(-1, 3)
         self.nbf = basis.nbf
         self.blocks = build_pair_blocks(basis.shells, basis.offsets)
-        self.schwarz_cutoff = float(schwarz_cutoff)
-        #: pair-combination counters: "evaluated" + "screened" = "total"
-        self.screen_stats = {
-            "pair_combinations_total": 0,
-            "pair_combinations_evaluated": 0,
-            "pair_combinations_screened": 0,
-        }
         #: the (batch, m, n, k) class contractions of the running public
         #: call (:func:`_accounted`); None between calls
         self._gemms: list[tuple[int, int, int, int]] | None = None
-
-    # -- Schwarz screening ---------------------------------------------------
-
-    def schwarz_bounds(self, blocks: list[PairBlock]) -> list[np.ndarray]:
-        """Per-block Schwarz bound vectors ``Q_r = sqrt(max (ab|ab)_r)``.
-
-        One entry per shell pair of each block: the maximum over the
-        pair's function components of the diagonal Coulomb interaction
-        — the quantity whose product bounds any cross interaction.
-        """
-        return [self._plain_operands(blk, bound=True)[2] for blk in blocks]
-
-    def schwarz_table(self, blocks: list[PairBlock], nshell: int
-                      ) -> np.ndarray:
-        """The :meth:`schwarz_bounds` of ``blocks`` by shell pair: a
-        symmetric ``(nshell, nshell)`` table, zero for pairs no block
-        holds. Kept as :attr:`BaseIntegrals.pair_bounds` /
-        ``aux_bounds`` for local builds."""
-        table = np.zeros((nshell, nshell))
-        for blk, q in zip(blocks, self.schwarz_bounds(blocks)):
-            table[blk.ishell, blk.jshell] = q
-            table[blk.jshell, blk.ishell] = q
-        return table
-
-    def _bounds(self, whole: _Side, touched: _Side | None,
-                table: np.ndarray | None) -> np.ndarray | None:
-        """Schwarz bound vector of one whole block in a build (None when
-        screening is off): computed for its touched pairs and read from
-        the base ``table`` for the rest, whose geometry is the base's;
-        computed for every pair without a table (a full build). A
-        screened local build thus sees the same whole-block bounds, and
-        makes the same screening decisions, as a full one."""
-        if self.schwarz_cutoff <= 0.0:
-            return None
-        if table is None:
-            return self._schwarz_block(whole.blk, whole.ops[0][0],
-                                       whole.ops[1][0])
-        q = table[whole.blk.ishell, whole.blk.jshell]
-        if touched is not None:
-            q[touched.idx] = self._schwarz_block(
-                touched.blk, touched.ops[0][0], touched.ops[1][0])
-        return q
-
-    def _schwarz_block(self, blk: PairBlock, e3: np.ndarray, e3s: np.ndarray,
-                       element_budget: int = 200_000) -> np.ndarray:
-        """Diagonal (ab|ab) bound vector of one pair block, vectorized.
-
-        ``e3`` and ``e3s`` are the block's plain and signed E3, shape
-        (nprim, nab, ncombos). For every pair the k2 x k2 primitive
-        cross products within the same pair are contracted — the
-        diagonal of :meth:`coulomb_block` without the O(npair^2)
-        off-diagonals.
-        """
-        l_half = blk.la + blk.lb
-        nk = ncombos(l_half)
-        npair, k2 = blk.npair, blk.k2
-        nab = e3.shape[1]
-        e3b = e3.reshape(npair, k2, nab, nk)
-        e3k = e3s.reshape(npair, k2, nab, nk)
-        p = blk.p.reshape(npair, k2)
-        pc = blk.pc.reshape(npair, k2, 3)
-        ltot = 2 * l_half
-        gather = _combined_index(l_half, l_half)
-        out = np.empty(npair)
-        chunk = max(1, element_budget // max(1, k2 * k2 * nk))
-        for start in range(0, npair, chunk):  # qf: shell-loop — chunked over the element budget; body vectorized
-            stop = min(start + chunk, npair)
-            ps = p[start:stop]
-            pcs = pc[start:stop]
-            pb = ps[:, :, None]
-            pk = ps[:, None, :]
-            alpha = pb * pk / (pb + pk)
-            pref = 2.0 * math.pi ** 2.5 / (pb * pk * np.sqrt(pb + pk))
-            pq = pcs[:, :, None, :] - pcs[:, None, :, :]
-            r = hermite_coulomb_vec(ltot, alpha.ravel(), pq.reshape(-1, 3))
-            r *= pref.ravel()
-            rsel = r[gather].reshape(nk, nk, stop - start, k2, k2)
-            # the diagonal (ab|ab) of every pair, primitives folded in
-            out[start:stop] = np.einsum(
-                "rixm,mnrij,rjxn->rx",
-                e3b[start:stop], rsel, e3k[start:stop], optimize=True,
-            ).max(axis=1)
-        return np.sqrt(np.maximum(out, 0.0))
 
     # -- one-electron -------------------------------------------------------
 
@@ -949,34 +839,21 @@ class IntegralEngine:
 
     # -- two-electron: generic Coulomb interaction of two pair sets ---------
 
-    def _plain_operands(self, blk: PairBlock, bound: bool = False
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """A block's plain bra E3, its signed ket E3 and, with ``bound``,
-        its Schwarz bound vector, all from one E build."""
+    def _plain_operands(self, blk: PairBlock) -> tuple[np.ndarray, np.ndarray]:
+        """A block's plain bra E3 and its signed ket E3, from one E build."""
         e3 = _e3(blk, blk.e_tensors())
-        e3s = _signed(blk, e3)
-        q = self._schwarz_block(blk, e3[0], e3s[0]) if bound else None
-        return e3, e3s, q
+        return e3, _signed(blk, e3)
 
     @_accounted
-    def coulomb_block(self, bra: PairBlock, ket: PairBlock,
-                      q_bra: np.ndarray | None = None,
-                      q_ket: np.ndarray | None = None) -> np.ndarray:
+    def coulomb_block(self, bra: PairBlock, ket: PairBlock) -> np.ndarray:
         """Contracted Coulomb interaction (bra_ab | ket_cd).
 
         Returns shape ``(npair_bra, na, nb, npair_ket, nc, nd)``.
         Used both for the exact ERI (bra and ket are orbital pair
         blocks) and for density fitting (ket pairs are aux/dummy).
-
-        When Schwarz bound vectors ``q_bra``/``q_ket`` (from
-        :meth:`schwarz_bounds`) are supplied and
-        :attr:`schwarz_cutoff` is positive, pairs whose best possible
-        bound product stays below the cutoff are skipped; their output
-        entries are exact zeros bounded by the cutoff.
         """
-        vals = self._coulomb(_Side(bra, self._plain_operands(bra)[:2]),
-                             _Side(ket, self._plain_operands(ket)[:2]),
-                             q_bra, q_ket)
+        vals = self._coulomb(_Side(bra, self._plain_operands(bra)),
+                             _Side(ket, self._plain_operands(ket)))
         return vals.reshape(*bra.dims, *ket.dims)
 
     @_accounted
@@ -991,52 +868,12 @@ class IntegralEngine:
                                  [(e3d, self._plain_operands(ket)[1])])[0]
         return out.reshape(3, *bra.dims, *ket.dims)
 
-    def _coulomb(self, bra: _Side, ket: _Side,
-                 q_bra: np.ndarray | None = None,
-                 q_ket: np.ndarray | None = None) -> np.ndarray:
-        """Plain (bra|ket) of a bra and a ket pair selection, Schwarz-screened.
-
-        Each side's ``ops`` are its plain bra E3 and signed ket E3, both
-        ``(1, nprim, n, ncombos)``. ``q_bra``/``q_ket`` are the bound
-        vectors of the *whole* blocks: a selection is screened against
-        the other whole block's largest bound, so each pair combination
-        gets the decision of the full build. With bounds and a positive
-        cutoff, only the surviving pairs are contracted: their E3 rows
-        are sliced out by primitive, as :meth:`PairBlock.subset` slices
-        the block. Returns ``(npair_bra, nab, npair_ket, ncd)`` over the
-        selected pairs.
-        """
-        b, k = bra.blk, ket.blk
-        e3b, e3k = bra.ops[0], ket.ops[1]
-        nab = e3b.shape[2]
-        ncd = e3k.shape[2]
-        cut = self.schwarz_cutoff
-        if cut > 0.0 and q_bra is not None and q_ket is not None:
-            qb = q_bra if bra.idx is None else q_bra[bra.idx]
-            qk = q_ket if ket.idx is None else q_ket[ket.idx]
-            stats = self.screen_stats
-            n_total = b.npair * k.npair
-            stats["pair_combinations_total"] += n_total
-            keep_b = np.nonzero(qb * q_ket.max(initial=0.0) >= cut)[0]
-            keep_k = np.nonzero(qk * q_bra.max(initial=0.0) >= cut)[0]
-            n_eval = keep_b.size * keep_k.size
-            stats["pair_combinations_evaluated"] += n_eval
-            stats["pair_combinations_screened"] += n_total - n_eval
-            # mirror the per-engine stats into the run-wide registry
-            reg = counters()
-            reg.inc("eri.pair_combinations_total", n_total)
-            reg.inc("eri.pair_combinations_evaluated", n_eval)
-            reg.inc("eri.pair_combinations_screened", n_total - n_eval)
-            if n_eval == 0:
-                return np.zeros((b.npair, nab, k.npair, ncd))
-            if keep_b.size < b.npair or keep_k.size < k.npair:
-                sub = self._coulomb_core(
-                    b.subset(keep_b), k.subset(keep_k),
-                    [(_rows(b, e3b, keep_b), _rows(k, e3k, keep_k))])[0][0]
-                out = np.zeros((b.npair, nab, k.npair, ncd))
-                out[np.ix_(keep_b, np.arange(nab), keep_k)] = sub
-                return out
-        return self._coulomb_core(b, k, [(e3b, e3k)])[0][0]
+    def _coulomb(self, bra: _Side, ket: _Side) -> np.ndarray:
+        """Plain (bra|ket) of a bra and a ket pair selection, from the
+        bra's plain E3 and the ket's signed E3 (each side's ``ops``);
+        shape ``(npair_bra, nab, npair_ket, ncd)``."""
+        return self._coulomb_core(bra.blk, ket.blk,
+                                  [(bra.ops[0], ket.ops[1])])[0][0]
 
     def _coulomb_core(
         self,
@@ -1118,26 +955,21 @@ class IntegralEngine:
         """Exact ERI tensor (chemists' notation (ab|cd)), full nbf^4.
 
         Intended for small systems (tests, tiny fragments); production
-        fragment SCF uses density fitting. With a positive
-        :attr:`schwarz_cutoff`, shell-pair combinations bounded below
-        the cutoff are skipped (their entries are exact zeros). With
-        ``base``, only the elements touching ``base.moved`` are
-        recomputed (:class:`BaseIntegrals`).
+        fragment SCF uses density fitting. With ``base``, only the
+        elements touching ``base.moved`` are recomputed
+        (:class:`BaseIntegrals`).
         """
         nbf = self.nbf
         with get_tracer().span("integrals.eri", nbf=nbf):
             blocks = self.blocks
             out = _start((nbf,) * 4, base, "eri",
                          [(ax, blocks) for ax in range(4)])
-            wholes = [_Side(blk, self._plain_operands(blk)[:2])
-                      for blk in blocks]
+            wholes = [_Side(blk, self._plain_operands(blk)) for blk in blocks]
             sides = [_split(w.blk, w.ops, base) for w in wholes]
-            qs = [self._bounds(w, side[0], base and base.pair_bounds)
-                  for w, side in zip(wholes, sides)]
             for bi, bside in enumerate(sides):
                 for ki in range(bi, len(blocks)):
                     for bra, ket in _parts(bside, wholes[ki], sides[ki][0]):  # qf: shell-loop — at most two selections per block pair; bodies vectorized
-                        vals = self._coulomb(bra, ket, qs[bi], qs[ki])
+                        vals = self._coulomb(bra, ket)
                         scatter_eri(out, bra.blk, ket.blk,
                                     vals.reshape(*bra.blk.dims,
                                                  *ket.blk.dims))
@@ -1151,27 +983,18 @@ class IntegralEngine:
         """Three-center integrals (ab|P), shape (nbf, nbf, naux).
 
         ``aux_blocks`` are :func:`single_shell_blocks` of the auxiliary
-        basis. With a positive :attr:`schwarz_cutoff`, (ab|P) is
-        screened by sqrt((ab|ab)) sqrt((P|P)): orbital pairs with
-        negligible pair density never touch any auxiliary function,
-        which is where production fragments spend their integral time.
-        With ``base``, only the elements touching ``base.moved`` are
-        recomputed from ``base.j3c`` (:class:`BaseIntegrals`).
+        basis. With ``base``, only the elements touching ``base.moved``
+        are recomputed from ``base.j3c`` (:class:`BaseIntegrals`).
         """
         out = _start((self.nbf, self.nbf, naux), base, "j3c",
                      [(0, self.blocks), (1, self.blocks), (2, aux_blocks)])
-        kets = [_Side(blk, self._plain_operands(blk)[:2])
-                for blk in aux_blocks]
+        kets = [_Side(blk, self._plain_operands(blk)) for blk in aux_blocks]
         ket_sides = [_split(k.blk, k.ops, base) for k in kets]
-        q_kets = [self._bounds(k, side[0], base and base.aux_bounds)
-                  for k, side in zip(kets, ket_sides)]
         for blk in self.blocks:
-            whole = _Side(blk, self._plain_operands(blk)[:2])
-            bside = _split(blk, whole.ops, base)
-            q_bra = self._bounds(whole, bside[0], base and base.pair_bounds)
-            for ket, kside, q_ket in zip(kets, ket_sides, q_kets):
+            bside = _split(blk, self._plain_operands(blk), base)
+            for ket, kside in zip(kets, ket_sides):
                 for bra, sel in _parts(bside, ket, kside[0]):  # qf: shell-loop — at most two selections per block pair; bodies vectorized
-                    vals = self._coulomb(bra, sel, q_bra, q_ket)
+                    vals = self._coulomb(bra, sel)
                     scatter_pairs_aux(out, bra.blk, sel.blk,
                                       vals.reshape(*bra.blk.dims,
                                                    sel.blk.npair, -1))
@@ -1184,8 +1007,7 @@ class IntegralEngine:
         ``base``, recomputed from ``base.v2c`` around ``base.moved``."""
         out = _start((naux, naux), base, "v2c",
                      [(0, aux_blocks), (1, aux_blocks)])
-        wholes = [_Side(blk, self._plain_operands(blk)[:2])
-                  for blk in aux_blocks]
+        wholes = [_Side(blk, self._plain_operands(blk)) for blk in aux_blocks]
         sides = [_split(w.blk, w.ops, base) for w in wholes]
         for i, bside in enumerate(sides):
             for ket, kside in zip(wholes[i:], sides[i:]):

@@ -6,8 +6,8 @@ its numbers from here). Four pieces:
 - :mod:`repro.obs.tracer` — nested, attributed spans with per-worker
   capture and merge-at-join; zero-cost :class:`NullTracer` when off.
 - :mod:`repro.obs.counters` — one registry for the formerly ad-hoc
-  counts (ERIs evaluated/screened, SCF iterations, CPHF solves, DIIS resets,
-  fragment-store hits/misses, rigid-dedupe rotations).
+  counts (SCF iterations, CPHF solves, DIIS resets, fragment-store
+  hits/misses, rigid-dedupe rotations).
 - :mod:`repro.obs.export` — JSONL event log, Chrome trace-event JSON
   (Perfetto-loadable), Prometheus text metrics, and a
   ``ThroughputReport`` derivation from the span stream.

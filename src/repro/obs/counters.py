@@ -1,8 +1,8 @@
 """Unified event counters for the QF-RAMAN stack.
 
 One registry replaces the ad-hoc counts scattered through the code
-(Schwarz ``screen_stats``, SCF iteration tallies, cache hit/miss
-attributes, rigid-dedupe rotation counts). Producers call
+(SCF iteration tallies, cache hit/miss attributes, rigid-dedupe
+rotation counts). Producers call
 ``counters().inc(name)``; consumers read ``counters().as_dict()`` or
 export through :mod:`repro.obs.export`.
 

@@ -69,9 +69,9 @@ check are both load-bearing. Then:
    which is rejected instead.
 
 Every reject is counted by reason in :meth:`CanonicalStore.stats`.
-Bump :data:`KEY_VERSION` whenever the entry layout changes, so a
-store written in an older format is never opened. See
-``docs/caching.md``.
+Bump :data:`KEY_VERSION` whenever the entry layout or the config
+encoding changes, so a store written in an older format is never
+opened. See ``docs/caching.md``.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ __all__ = [
     "task_key",
 ]
 
-#: version tag hashed into every key; bumped with the entry layout
-KEY_VERSION = "canon-v2"
+#: version tag hashed into every key; bumped with the entry layout or
+#: the config encoding
+KEY_VERSION = "canon-v3"
 
 #: quantization grid of the canonical coordinates: two geometries whose
 #: canonical coordinates agree to this many decimals (bohr) share a key
@@ -123,8 +124,8 @@ VALIDATE_RMSD_BOHR = 1.0e-4
 
 
 def config_encoding(basis_name: str, delta: float, *,
-                    compute_raman: bool = True, eri_mode: str = "auto",
-                    schwarz_cutoff: float = 1.0e-12) -> bytes:
+                    compute_raman: bool = True, eri_mode: str = "auto"
+                    ) -> bytes:
     """Canonical bytes of every run setting that can change the numbers
     (sorted-key JSON); shared by :func:`task_key` and
     :func:`canonical_key`."""
@@ -133,7 +134,6 @@ def config_encoding(basis_name: str, delta: float, *,
         "delta": f"{delta:.3e}",
         "raman": bool(compute_raman),
         "eri": eri_mode,
-        "schwarz": f"{schwarz_cutoff:.3e}",
     }
     return json.dumps(config, sort_keys=True).encode()
 
@@ -511,8 +511,7 @@ class CanonicalStore:
     @staticmethod
     def _task_config(task) -> dict:
         return {"compute_raman": task.compute_raman,
-                "eri_mode": task.eri_mode,
-                "schwarz_cutoff": task.schwarz_cutoff}
+                "eri_mode": task.eri_mode}
 
     def load_task(self, task) -> FragmentResponse | None:
         return self.load(task.geometry, task.basis_name, task.delta,

@@ -106,7 +106,6 @@ class FragmentTask:
     compute_raman: bool = True
     basis_name: str = "sto-3g"
     eri_mode: str = "auto"
-    schwarz_cutoff: float = 1.0e-12
     #: 1-based execution attempt — set by the executor on
     #: retries/reissues; keys the deterministic fault-injection plan
     #: (never enters content hashes: a retry computes the same result)
@@ -227,7 +226,6 @@ def _run_task(task: FragmentTask,
                     compute_raman=task.compute_raman,
                     basis_name=task.basis_name,
                     eri_mode=task.eri_mode,
-                    schwarz_cutoff=task.schwarz_cutoff,
                     pool=pool,
                 )
                 apply_post_fault(fault, resp)

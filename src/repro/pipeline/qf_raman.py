@@ -105,7 +105,6 @@ class QFRamanPipeline:
         verbose: bool = False,
         executor: str | FragmentExecutor = "serial",
         max_workers: int | None = None,
-        schwarz_cutoff: float = 1.0e-12,
         resilience: ResiliencePolicy | None = None,
         canonical_cache: str | None = None,
     ):
@@ -136,7 +135,6 @@ class QFRamanPipeline:
         #: see :mod:`repro.pipeline.executor` for the three backends
         self.executor = executor
         self.max_workers = max_workers
-        self.schwarz_cutoff = schwarz_cutoff
         #: the executor's ResiliencePolicy — retries, timeouts, the
         #: failure policy (docs/resilience.md); None is one attempt per
         #: fragment, fail-fast. Ignored when ``executor`` is a ready
@@ -195,7 +193,6 @@ class QFRamanPipeline:
                 compute_raman=self.compute_raman,
                 basis_name=self.basis_name,
                 eri_mode=self.eri_mode,
-                schwarz_cutoff=self.schwarz_cutoff,
             )
             hit = (self.canonical.load_task(task)
                    if self.canonical is not None else None)

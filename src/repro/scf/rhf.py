@@ -73,11 +73,6 @@ class RHF:
     eri_mode:
         ``"exact"``, ``"df"``, or ``"auto"`` (exact below
         ``exact_nbf_limit`` basis functions, DF above).
-    schwarz_cutoff:
-        Schwarz screening threshold for the two-electron integrals
-        (see :class:`~repro.integrals.engine.IntegralEngine`). The
-        default 1e-12 is far below SCF convergence noise; pass 0 to
-        disable screening entirely.
     """
 
     def __init__(
@@ -90,7 +85,6 @@ class RHF:
         conv_tol_diis: float = 1e-7,
         max_iter: int = 120,
         field_vector: np.ndarray | None = None,
-        schwarz_cutoff: float = 1.0e-12,
     ):
         if geometry.nelectrons % 2 != 0:
             raise ValueError(
@@ -101,9 +95,7 @@ class RHF:
         self.geometry = geometry
         self.basis = build_basis(geometry, basis_name)
         self.engine = IntegralEngine(
-            self.basis, geometry.numbers.astype(float), geometry.coords,
-            schwarz_cutoff=schwarz_cutoff,
-        )
+            self.basis, geometry.numbers.astype(float), geometry.coords)
         if eri_mode == "auto":
             eri_mode = "exact" if self.basis.nbf <= exact_nbf_limit else "df"
         self.eri_mode = eri_mode

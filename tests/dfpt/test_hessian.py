@@ -72,7 +72,6 @@ def test_scf_seeding_recorded(water_response):
         18 * meta["scf_iters_base"]
         - meta["scf_iters_plus"] - meta["scf_iters_minus"]
     )
-    assert meta["schwarz_cutoff"] == 1.0e-12
 
 
 def test_progress_callback(water_optimized):

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.basis.gaussian import Shell
 from repro.integrals import engine as engine_module
+from repro.integrals.batched import PAIR_PREFACTOR_SCREEN
 from repro.integrals.engine import PairBlock, components, hermite_combos
 
 
@@ -33,29 +34,27 @@ def build_pair_blocks(
     offsets: list[int],
     pairs: list[tuple[int, int]] | None = None,
     canonicalize: bool = True,
-    screen: float = 1.0e-12,
 ) -> list[PairBlock]:
     """Per-pair loop twin of :func:`repro.integrals.batched.build_pair_blocks`.
 
-    Same screening, canonicalization and class grouping, one python
-    iteration per pair.
+    Same screening (the same :data:`PAIR_PREFACTOR_SCREEN`),
+    canonicalization and class grouping, one python iteration per pair.
     """
     if pairs is None:
         ns = len(shells)
         pairs = [(i, j) for i in range(ns) for j in range(i, ns)]
-    if screen > 0.0:
-        kept = []
-        for (i, j) in pairs:
-            si, sj = shells[i], shells[j]
-            d2 = float(np.sum((si.center - sj.center) ** 2))
-            if d2 == 0.0:
-                kept.append((i, j))
-                continue
-            amin, bmin = float(si.exps.min()), float(sj.exps.min())
-            q = amin * bmin / (amin + bmin)
-            if math.exp(-q * d2) >= screen:
-                kept.append((i, j))
-        pairs = kept
+    kept = []
+    for (i, j) in pairs:
+        si, sj = shells[i], shells[j]
+        d2 = float(np.sum((si.center - sj.center) ** 2))
+        if d2 == 0.0:
+            kept.append((i, j))
+            continue
+        amin, bmin = float(si.exps.min()), float(sj.exps.min())
+        q = amin * bmin / (amin + bmin)
+        if math.exp(-q * d2) >= PAIR_PREFACTOR_SCREEN:
+            kept.append((i, j))
+    pairs = kept
     groups: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
     for (i, j) in pairs:
         si, sj = shells[i], shells[j]

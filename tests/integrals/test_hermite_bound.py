@@ -37,8 +37,8 @@ def test_ncombos_counts_hermite_combos():
 
 
 def test_combined_index_within_total_order():
-    """The gather tables of every (bra, ket) class: plain (integrals,
-    Schwarz), bra derivative (gradients) and ket derivative
+    """The gather tables of every (bra, ket) class: plain (integrals),
+    bra derivative (gradients) and ket derivative
     (the second term of ``eri_deriv``)."""
     for la, lb, lc, ld in itertools.product(range(L_SHELL + 1), repeat=4):
         lbra, lket = la + lb, lc + ld
@@ -138,13 +138,13 @@ def r_reads(monkeypatch):
     return reads
 
 
-def _spd_engine(schwarz_cutoff=0.0):
+def _spd_engine():
     # s, p and two d shells on four centers: every canonical and ordered
     # pair class up to (d, d), with distinct centers inside each class
     basis, charges, centers = random_system(
         [(0, 0, 2), (1, 1, 2), (2, 2, 1), (2, 3, 2)], seed=5
     )
-    eng = IntegralEngine(basis, charges, centers, schwarz_cutoff=schwarz_cutoff)
+    eng = IntegralEngine(basis, charges, centers)
     return eng, basis
 
 
@@ -157,9 +157,9 @@ def _assert_within(reads):
 
 
 def test_integral_reads_within_lmax(r_reads):
-    eng, basis = _spd_engine(schwarz_cutoff=1e-14)
+    eng, basis = _spd_engine()
     eng.nuclear(per_atom=True)  # reads all of R: no table
-    eng.eri()  # Schwarz bounds, then coulomb_block per class pair
+    eng.eri()  # one Coulomb contraction per class pair
     _assert_within(r_reads)
     assert {lmax for lmax, _, _ in r_reads} >= {4, 8}  # (ss|dd); (dd|dd)
 

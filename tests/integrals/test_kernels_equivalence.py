@@ -55,11 +55,11 @@ def _evaluate(engine, *, eri=True, derivs=True):
 
 
 def _assert_matches_oracle(basis, charges, coords, *, eri=True,
-                           derivs=True, **kw):
-    engine = IntegralEngine(basis, charges, coords, **kw)
+                           derivs=True):
+    engine = IntegralEngine(basis, charges, coords)
     got = _evaluate(engine, eri=eri, derivs=derivs)
     with oracle.oracle_dispatch():
-        ref = _evaluate(IntegralEngine(basis, charges, coords, **kw),
+        ref = _evaluate(IntegralEngine(basis, charges, coords),
                         eri=eri, derivs=derivs)
     for name in ref:
         np.testing.assert_array_equal(
@@ -101,7 +101,7 @@ def test_waterbox_screened_bit_identical():
                         coords=np.vstack([geom.coords, w.coords]))
     basis = build_basis(geom, name="sto-3g")
     _assert_matches_oracle(basis, geom.numbers.astype(float), geom.coords,
-                           derivs=False, schwarz_cutoff=1e-10)
+                           derivs=False)
 
 
 def _df_tensors(w, basis, aux):
@@ -248,13 +248,12 @@ def e_builds(monkeypatch):
                          ids=["water", "two_p_centers"])
 def test_each_block_builds_its_operands_once_per_call(geom, e_builds):
     """Every two-electron call builds each block's E tensors once and
-    derives all its E3 operands (bra, signed ket, derivative stacks,
-    Schwarz bound) from that build, instead of once per block pair.
+    derives all its E3 operands (bra, signed ket, derivative stacks)
+    from that build, instead of once per block pair.
     The DF build is two calls, ``three_center`` and ``two_center``, so
     its auxiliary blocks are built twice."""
     basis = build_basis(geom, name="sto-3g")
-    eng = IntegralEngine(basis, geom.numbers.astype(float), geom.coords,
-                         schwarz_cutoff=1e-12)
+    eng = IntegralEngine(basis, geom.numbers.astype(float), geom.coords)
     aux = auto_aux_basis(geom, basis)
     orbital = dict.fromkeys(map(id, eng.blocks), 1)
 

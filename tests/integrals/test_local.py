@@ -28,10 +28,9 @@ DELTA = 5.0e-3
 RTOL = 1.0e-14
 
 
-def _engine(geom, cutoff):
+def _engine(geom):
     basis = build_basis(geom, "sto-3g")
-    return IntegralEngine(basis, geom.numbers.astype(float), geom.coords,
-                          schwarz_cutoff=cutoff), basis
+    return IntegralEngine(basis, geom.numbers.astype(float), geom.coords), basis
 
 
 def _aux(geom, basis):
@@ -53,46 +52,41 @@ def _df(eng, geom, basis, base=None):
     }
 
 
-def _base(geom, cutoff, exact):
+def _base(geom, exact):
     """The BaseIntegrals of ``geom``, as the displacement loop keeps them."""
-    eng, basis = _engine(geom, cutoff)
+    eng, basis = _engine(geom)
     tensors = _exact(eng, basis) if exact else _df(eng, geom, basis)
-    bounds = {}
-    if cutoff > 0.0:
-        bounds["pair_bounds"] = eng.schwarz_table(eng.blocks, basis.nshells)
-        if not exact:
-            aux, blocks = _aux(geom, basis)
-            bounds["aux_bounds"] = eng.schwarz_table(blocks, aux.nshells)
-    return BaseIntegrals(**tensors, **bounds)
+    return BaseIntegrals(**tensors)
 
 
 def _stretched_waters() -> Geometry:
-    """Two waters 15 bohr apart: Schwarz screening at 1e-10 skips pair
-    combinations here, so the local build must screen as the full one."""
+    """Two waters 15 bohr apart: the pair-prefactor screen drops the
+    oxygen-core pairs across the gap here, so the local build must keep
+    the same pair list as the full one."""
     w = water_molecule()
     return Geometry(list(w.symbols) * 2,
                     np.vstack([w.coords, w.coords + [15.0, 0.0, 0.0]]))
 
 
 CASES = {
-    # (geometry, Schwarz cutoff, exact path?)
-    "dimer_exact": (water_dimer, 1.0e-12, True),
-    "stretched_exact_screened": (_stretched_waters, 1.0e-10, True),
-    "water_df": (water_molecule, 1.0e-12, False),
-    "stretched_df_screened": (_stretched_waters, 1.0e-10, False),
+    # (geometry, exact path?)
+    "dimer_exact": (water_dimer, True),
+    "stretched_exact_screened": (_stretched_waters, True),
+    "water_df": (water_molecule, False),
+    "stretched_df_screened": (_stretched_waters, False),
 }
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_local_build_matches_full_build(case):
-    make, cutoff, exact = CASES[case]
+    make, exact = CASES[case]
     geom = make()
-    base = _base(geom, cutoff, exact)
+    base = _base(geom, exact)
     for atom in range(geom.natoms):
         for axis in range(3):
             moved = geom.displaced(atom, axis, DELTA)
             local = dataclasses.replace(base, moved=(atom,))
-            eng, basis = _engine(moved, cutoff)
+            eng, basis = _engine(moved)
             if exact:
                 got, want = (_exact(eng, basis, local), _exact(eng, basis))
             else:
@@ -109,8 +103,8 @@ def test_nothing_moved_copies_the_base(exact):
     """With no atom moved, a build recomputes nothing and returns a
     copy of its base tensor."""
     geom = water_molecule()
-    base = _base(geom, 1.0e-12, exact)
-    eng, basis = _engine(geom, 1.0e-12)
+    base = _base(geom, exact)
+    eng, basis = _engine(geom)
     got = (_exact(eng, basis, base) if exact
            else _df(eng, geom, basis, base))
     for name, tensor in got.items():
@@ -123,8 +117,8 @@ def test_local_build_does_less_kernel_work():
     moved atom: it records fewer useful FLOPs than a full build of the
     same geometry."""
     geom = water_dimer()
-    base = _base(geom, 0.0, exact=True)
-    eng, _ = _engine(geom.displaced(0, 0, DELTA), 0.0)
+    base = _base(geom, exact=True)
+    eng, _ = _engine(geom.displaced(0, 0, DELTA))
 
     def flops(build):
         before = counters().get("kernels.useful_flops")
@@ -141,8 +135,8 @@ def test_base_of_the_wrong_path_is_rejected():
     """A DF base handed to an exact build is refused, not silently
     taken as zeros for the copied elements."""
     geom = water_molecule()
-    base = dataclasses.replace(_base(geom, 0.0, exact=False), moved=(0,))
-    eng, _ = _engine(geom, 0.0)
+    base = dataclasses.replace(_base(geom, exact=False), moved=(0,))
+    eng, _ = _engine(geom)
     with pytest.raises(ValueError, match="base eri"):
         eng.eri(base)
 
@@ -150,13 +144,13 @@ def test_base_of_the_wrong_path_is_rejected():
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "df"])
 def test_touched_base_elements_are_never_read(exact):
     """A local build zeroes every base element that involves a moved
-    function before it recomputes them, so the ones its screening then
-    skips are zeros, as in a full build, and never stale base values.
-    Poisoning them with NaN in the base must change nothing."""
+    function before it recomputes them, so the ones the pair-prefactor
+    screen then drops are zeros, as in a full build, and never stale
+    base values. Poisoning them with NaN in the base must change
+    nothing."""
     geom = _stretched_waters()
-    cutoff = 1.0e-10
-    base = _base(geom, cutoff, exact)
-    _, basis = _engine(geom, cutoff)
+    base = _base(geom, exact)
+    _, basis = _engine(geom)
     orb = basis.function_atom_map() == 0
     aux = auto_aux_basis(geom, basis).function_atom_map() == 0
     axes = {"eri": (orb,) * 4, "eri_deriv": (None,) + (orb,) * 4,
@@ -175,7 +169,7 @@ def test_touched_base_elements_are_never_read(exact):
         poisoned[name] = tensor
     local = dataclasses.replace(base, moved=(0,), **poisoned)
     moved = geom.displaced(0, 0, DELTA)
-    eng, mbasis = _engine(moved, cutoff)
+    eng, mbasis = _engine(moved)
     if exact:
         got, want = _exact(eng, mbasis, local), _exact(eng, mbasis)
     else:

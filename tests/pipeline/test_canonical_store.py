@@ -25,6 +25,7 @@ import pytest
 
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
+from repro.pipeline import canonical
 from repro.pipeline.canonical import CanonicalStore, canonicalize
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -240,3 +241,18 @@ def test_fd_asymmetry_survives_the_store(tmp_path):
     loaded = store.load(_geometry(0), "sto-3g", 5e-3)
     assert loaded.meta == {"cached": True, "fd_asymmetry": 3.5e-6}
     assert store.load(_geometry(1), "sto-3g", 5e-3).meta == {"cached": True}
+
+
+def test_entry_of_an_older_key_version_is_a_miss(tmp_path, monkeypatch):
+    """The key version is hashed into every key, so an entry written
+    under an earlier one (an older entry layout or config encoding) is
+    never read: the same geometry and config miss it."""
+    store = CanonicalStore(tmp_path)
+    with monkeypatch.context() as m:
+        m.setattr(canonical, "KEY_VERSION", "canon-v2")
+        store.store(_geometry(0), _response(0), "sto-3g", 5.0e-3)
+        assert store.load(_geometry(0), "sto-3g", 5.0e-3) is not None
+    assert canonical.KEY_VERSION == "canon-v3"
+    assert len(store) == 1
+    assert store.load(_geometry(0), "sto-3g", 5.0e-3) is None
+    assert store.rejects == 0

@@ -368,8 +368,7 @@ def test_run_store_resume_bit_identical(reference, tmp_path):
 def test_run_store_key_ignores_index_and_attempt():
     def key(t):
         return task_key(t.geometry, t.basis_name, t.delta,
-                        compute_raman=t.compute_raman, eri_mode=t.eri_mode,
-                        schwarz_cutoff=t.schwarz_cutoff)
+                        compute_raman=t.compute_raman, eri_mode=t.eri_mode)
 
     task = _tasks()[0]
     k = key(task)

@@ -45,8 +45,7 @@ def _task(idx: int, coords, delta: float = 5.0e-3) -> FragmentTask:
 def _key(task: FragmentTask) -> str:
     return task_key(task.geometry, task.basis_name, task.delta,
                     compute_raman=task.compute_raman,
-                    eri_mode=task.eri_mode,
-                    schwarz_cutoff=task.schwarz_cutoff)
+                    eri_mode=task.eri_mode)
 
 
 def _response(task: FragmentTask, seed: int) -> FragmentResponse:
@@ -164,8 +163,7 @@ def test_task_key_ignores_bookkeeping(coords, perm_seed, index, attempt):
 
 def test_task_key_sensitive_to_config():
     geom = _geometry([(0.0, 0.0, 0.0), (0.0, 0.0, 1.4)])
-    kw = dict(compute_raman=True, eri_mode="auto",
-              schwarz_cutoff=1.0e-12)
+    kw = dict(compute_raman=True, eri_mode="auto")
     base = task_key(geom, "sto-3g", 5.0e-3, **kw)
     assert task_key(geom, "6-31g", 5.0e-3, **kw) != base
     assert task_key(geom, "sto-3g", 1.0e-3, **kw) != base
@@ -173,5 +171,3 @@ def test_task_key_sensitive_to_config():
                     **{**kw, "compute_raman": False}) != base
     assert task_key(geom, "sto-3g", 5.0e-3, **{**kw, "eri_mode": "df"}) \
         != base
-    assert task_key(geom, "sto-3g", 5.0e-3,
-                    **{**kw, "schwarz_cutoff": 0.0}) != base
