@@ -148,23 +148,14 @@ class BasisSet:
 def build_basis(geometry: Geometry, name: str = "sto-3g") -> BasisSet:
     """Construct the basis set for a geometry.
 
-    Registered sets: ``"sto-3g"`` (shipped data) and ``"sto-2g-fit"``
-    (K=2 refit of the same radial functions — ~2-5x cheaper integrals
-    at reduced accuracy; see :mod:`repro.basis.refit`).
+    The one registered set is ``"sto-3g"`` (shipped data).
     """
-    key = name.lower()
-    if key in ("sto-3g", "sto3g"):
-        registry = STO3G
-    elif key in ("sto-2g-fit", "sto2g-fit", "sto-2g"):
-        from repro.basis.refit import as_registry, refit_basis_data
-
-        registry = as_registry(refit_basis_data(2))
-    else:
+    if name.lower() not in ("sto-3g", "sto3g"):
         raise ValueError(f"unknown basis {name!r}")
     shells: list[Shell] = []
     for atom_index, symbol in enumerate(geometry.symbols):
         try:
-            entries = registry[symbol]
+            entries = STO3G[symbol]
         except KeyError:
             raise KeyError(
                 f"no STO-3G data for element {symbol!r}; "

@@ -24,11 +24,6 @@ python-level loops over *pairs* around those einsums:
 
 Every function here is bit-identical to the per-pair loop it replaces:
 the loops live on as the test oracle in ``tests/integrals/oracle.py``.
-
-Class contractions are accounted through the
-:func:`repro.kernels.batched.kernel_seam` executor (useful vs
-stride-padded FLOPs, mirrored into ``kernels.*`` obs counters); see
-docs/observability.md for the counter glossary.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.basis.gaussian import Shell
-from repro.obs.counters import counters
 
 __all__ = [
     "PAIR_PREFACTOR_SCREEN",
@@ -181,8 +175,6 @@ def build_pair_blocks(
                 p=psum.ravel(), pc=pc.reshape(-1, 3),
             )
         )
-    counters().inc("kernels.pair_blocks_built", len(blocks))
-    counters().inc("kernels.pairs_packed", int(ii.size))
     return blocks
 
 

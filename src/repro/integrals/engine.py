@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -694,31 +694,6 @@ def _kinetic_block(blk: PairBlock, ex: list[np.ndarray]) -> np.ndarray:
 # the engine
 # ---------------------------------------------------------------------------
 
-def _accounted(method):
-    """Account the class contractions of one public integral call through
-    the batched-GEMM seam once, when the outermost such call returns;
-    while it runs, each contraction appends its (batch, m, n, k) to
-    ``self._gemms``."""
-
-    @wraps(method)
-    def call(self, *args, **kwargs):
-        if self._gemms is not None:        # nested in another public call
-            return method(self, *args, **kwargs)
-        self._gemms = []
-        try:
-            return method(self, *args, **kwargs)
-        finally:
-            records, self._gemms = self._gemms, None
-            if records:
-                # deferred: repro.kernels pulls in the DFPT worker stack,
-                # which imports the SCF layer, which imports this module
-                from repro.kernels.batched import kernel_seam
-
-                kernel_seam().record_contractions(records)
-
-    return call
-
-
 class IntegralEngine:
     """Integral driver for one basis set over one geometry.
 
@@ -742,29 +717,21 @@ class IntegralEngine:
         self.coords = np.asarray(coords, dtype=float).reshape(-1, 3)
         self.nbf = basis.nbf
         self.blocks = build_pair_blocks(basis.shells, basis.offsets)
-        #: the (batch, m, n, k) class contractions of the running public
-        #: call (:func:`_accounted`); None between calls
-        self._gemms: list[tuple[int, int, int, int]] | None = None
 
     # -- one-electron -------------------------------------------------------
 
-    @_accounted
     def overlap(self) -> np.ndarray:
         s = np.zeros((self.nbf, self.nbf))
         for blk in self.blocks:
             scatter_symmetric(s, blk, _overlap_block(blk, blk.e_tensors()))
-            self._record_one_electron(blk)
         return s
 
-    @_accounted
     def kinetic(self) -> np.ndarray:
         t = np.zeros((self.nbf, self.nbf))
         for blk in self.blocks:
             scatter_symmetric(t, blk, _kinetic_block(blk, blk.e_tensors(db=2)))
-            self._record_one_electron(blk)
         return t
 
-    @_accounted
     def nuclear(self, per_atom: bool = False) -> np.ndarray:
         """Nuclear attraction V (negative). With ``per_atom``, returns
         shape (natoms, nbf, nbf): the contribution of each nucleus
@@ -797,7 +764,6 @@ class IntegralEngine:
             "Pick,kPia->Pac", e3.reshape(npair, k2, -1, nk),
             r.reshape(nk, npair, k2, natm), optimize=True,
         )
-        self._record_class_gemm(npair, natm, e3.shape[1], k2 * nk)
         na = len(components(blk.la))
         nb = len(components(blk.lb))
         if per_atom:
@@ -806,7 +772,6 @@ class IntegralEngine:
         total = -(contrib * self.charges[None, :, None]).sum(axis=1)
         return total.reshape(blk.npair, na, nb)
 
-    @_accounted
     def dipole(self, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
         """Dipole moment integrals <mu| r_d - origin_d |nu>, shape (3, nbf, nbf).
 
@@ -822,20 +787,8 @@ class IntegralEngine:
                 moment = ex[d][..., 1:2] + shift * ex[d][..., :1]
                 vals = _overlap_block(blk, [moment if k == d else e
                                             for k, e in enumerate(ex)])
-                self._record_one_electron(blk)
                 scatter_symmetric(out[d], blk, vals)
         return out
-
-    # -- accounting ---------------------------------------------------------
-
-    def _record_class_gemm(self, batch: int, m: int, n: int, k: int) -> None:
-        """Queue one class contraction for the running call's accounting."""
-        self._gemms.append((batch, m, n, k))
-
-    def _record_one_electron(self, blk: PairBlock) -> None:
-        """Account one one-electron class contraction (primitives summed)."""
-        self._record_class_gemm(blk.npair, blk.dims[1] * blk.dims[2], 1,
-                                blk.k2)
 
     # -- two-electron: generic Coulomb interaction of two pair sets ---------
 
@@ -844,7 +797,6 @@ class IntegralEngine:
         e3 = _e3(blk, blk.e_tensors())
         return e3, _signed(blk, e3)
 
-    @_accounted
     def coulomb_block(self, bra: PairBlock, ket: PairBlock) -> np.ndarray:
         """Contracted Coulomb interaction (bra_ab | ket_cd).
 
@@ -856,7 +808,6 @@ class IntegralEngine:
                              _Side(ket, self._plain_operands(ket)))
         return vals.reshape(*bra.dims, *ket.dims)
 
-    @_accounted
     def coulomb_block_deriv(self, bra: PairBlock, ket: PairBlock) -> np.ndarray:
         """Bra-a-center derivative of the Coulomb interaction.
 
@@ -945,12 +896,8 @@ class IntegralEngine:
                     2, 0, 1, 3).reshape(npk, npb * xb * nab, nck * k2k)
                 out[:, :, start:stop] = (t1 @ k).reshape(
                     npk, npb, xb, nab, xk, ncd).transpose(2, 4, 1, 3, 0, 5)
-                self._record_class_gemm(npb, xb * nab, nck * nkp, k2b * ncb)
-                self._record_class_gemm(npk, npb * xb * nab, xk * ncd,
-                                        nck * k2k)
         return [out.reshape(-1, bra.npair, nab, npk, ncd) for out in outs]
 
-    @_accounted
     def eri(self, base: BaseIntegrals | None = None) -> np.ndarray:
         """Exact ERI tensor (chemists' notation (ab|cd)), full nbf^4.
 
@@ -977,7 +924,6 @@ class IntegralEngine:
 
     # -- density fitting ------------------------------------------------------
 
-    @_accounted
     def three_center(self, aux_blocks: list[PairBlock], naux: int,
                      base: BaseIntegrals | None = None) -> np.ndarray:
         """Three-center integrals (ab|P), shape (nbf, nbf, naux).
@@ -1000,7 +946,6 @@ class IntegralEngine:
                                                    sel.blk.npair, -1))
         return out
 
-    @_accounted
     def two_center(self, aux_blocks: list[PairBlock], naux: int,
                    base: BaseIntegrals | None = None) -> np.ndarray:
         """Two-center Coulomb metric (P|Q), shape (naux, naux); with
@@ -1117,7 +1062,6 @@ class IntegralEngine:
                     scatter_ordered(dv_nuc[d, c], blk, vals)
         return dv_bra, dv_nuc
 
-    @_accounted
     def three_center_deriv(self, aux_blocks: list[PairBlock], naux: int,
                            base: BaseIntegrals | None = None) -> np.ndarray:
         """d(ab|P)/d(center of a), shape (3, nbf, nbf, naux).
@@ -1147,7 +1091,6 @@ class IntegralEngine:
                                           vals_t=vals[3 + d])
         return out
 
-    @_accounted
     def two_center_deriv(self, aux_blocks: list[PairBlock], naux: int,
                          base: BaseIntegrals | None = None) -> np.ndarray:
         """d(P|Q)/d(center of P), shape (3, naux, naux), all ordered (P, Q);
@@ -1169,7 +1112,6 @@ class IntegralEngine:
                         scatter_pairs_2c(out[d], bra.blk, sel.blk, vals[d])
         return out
 
-    @_accounted
     def eri_deriv(self, base: BaseIntegrals | None = None) -> np.ndarray:
         """dA-slot derivative of the exact ERI tensor.
 

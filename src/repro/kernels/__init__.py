@@ -9,6 +9,10 @@
 * :mod:`repro.kernels.worker` — the instrumented four-phase DFPT cycle
   (P(1) → n(1)(r) → Poisson → H(1)) whose FLOP counts drive the
   Table I reproduction.
+
+These are the paper's §V-C/D mechanisms, reproduced and measured on
+their own; the QM path (SCF, integrals, response) does not import this
+package.
 """
 
 from repro.kernels.strength_reduction import (
@@ -17,7 +21,7 @@ from repro.kernels.strength_reduction import (
     rho1_gradient_naive,
     rho1_gradient_symmetric,
 )
-from repro.kernels.batched import BatchedGemmExecutor, kernel_seam, pad_to_stride
+from repro.kernels.batched import BatchedGemmExecutor, pad_to_stride
 from repro.kernels.worker import DFPTCycleResult, run_dfpt_cycle
 
 __all__ = [
@@ -26,7 +30,6 @@ __all__ = [
     "rho1_gradient_naive",
     "rho1_gradient_symmetric",
     "BatchedGemmExecutor",
-    "kernel_seam",
     "pad_to_stride",
     "DFPTCycleResult",
     "run_dfpt_cycle",

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs.counters import counters
 from repro.utils.flops import FlopCounter, gemm_flops
 
 
@@ -104,42 +103,6 @@ class BatchedGemmExecutor:
         self._requests.clear()
         return results  # type: ignore[return-value]
 
-    def record_contractions(self, records: list[tuple[int, int, int, int]]
-                            ) -> None:
-        """Account already-executed class contractions as batched GEMMs.
-
-        ``records`` holds one ``(batch, m, n, k)`` per contraction; the
-        integral engine passes those of one public call at once. The
-        engine evaluates each angular-momentum class with a single
-        vectorized contraction — one batched GEMM per class in the
-        paper's elastic-offload picture. Padding the executed arrays to
-        the stride would change the BLAS reduction tree and break the
-        scalar/batched bit-identity promise, so the contraction runs
-        unpadded and this method records both sides of the ledger:
-        useful FLOPs at the true shapes, padded FLOPs at the
-        stride-rounded shapes an accelerator batch would launch.
-        Mirrored into the run-wide :mod:`repro.obs` counter registry
-        (``kernels.*``; see docs/performance.md).
-        """
-        shapes = np.array([r for r in records if r[0] > 0],
-                          dtype=np.int64).reshape(-1, 4)
-        if not len(shapes):
-            return
-        batch, dims = shapes[:, 0], shapes[:, 1:]
-        if (dims <= 0).any():
-            raise ValueError("dimension must be positive")
-        padded_dims = -(-dims // self.stride) * self.stride
-        useful = int((batch * gemm_flops(*dims.T)).sum())
-        padded = int((batch * gemm_flops(*padded_dims.T)).sum())
-        self.flops.add("useful", useful)
-        self.flops.add("padded", padded)
-        self.batches_executed += len(shapes)
-        reg = counters()
-        reg.inc("kernels.class_gemms", len(shapes))
-        reg.inc("kernels.gemms_batched", int(batch.sum()))
-        reg.inc("kernels.useful_flops", useful)
-        reg.inc("kernels.padded_flops", padded)
-
     def padding_overhead(self) -> float:
         """padded/useful FLOP ratio of the batched groups (1.0 = none)."""
         useful = self.flops.total("useful")
@@ -148,19 +111,3 @@ class BatchedGemmExecutor:
             return 1.0
         return padded / max(useful, 1)
 
-
-_KERNEL_SEAM: BatchedGemmExecutor | None = None
-
-
-def kernel_seam() -> BatchedGemmExecutor:
-    """Process-global executor seam the integral engine accounts through.
-
-    One registry per process (worker counters travel back to the parent
-    through the telemetry shipment like every other counter), so the
-    padding-overhead ratio in :meth:`BatchedGemmExecutor.padding_overhead`
-    aggregates over a whole run.
-    """
-    global _KERNEL_SEAM
-    if _KERNEL_SEAM is None:
-        _KERNEL_SEAM = BatchedGemmExecutor()
-    return _KERNEL_SEAM

@@ -159,10 +159,10 @@ def task_key(geometry: Geometry, basis_name: str, delta: float,
 # -- canonical frame construction ------------------------------------------
 
 
-def _quantize(coords: np.ndarray, decimals: int) -> np.ndarray:
+def _quantize(coords: np.ndarray) -> np.ndarray:
     # `+ 0.0` collapses IEEE -0.0 onto +0.0 so the byte encoding (and
     # tuple formatting) of a zero is unique
-    return np.round(np.asarray(coords, dtype=float), decimals) + 0.0
+    return np.round(np.asarray(coords, dtype=float), CANON_DECIMALS) + 0.0
 
 
 def _axis_completion(e1: np.ndarray) -> np.ndarray:
@@ -246,8 +246,7 @@ class CanonicalFrame:
         return inv
 
 
-def canonicalize(geometry: Geometry,
-                 decimals: int = CANON_DECIMALS) -> CanonicalFrame:
+def canonicalize(geometry: Geometry) -> CanonicalFrame:
     """Rigid-motion-invariant canonical frame of ``geometry``."""
     coords = np.asarray(geometry.coords, dtype=float)
     masses = geometry.masses
@@ -265,7 +264,7 @@ def canonicalize(geometry: Geometry,
             # zero them so the arbitrary axis completion cannot leak
             # into the encoding or the stored coordinates
             canon[:, 1:] = 0.0
-        q = _quantize(canon, decimals)
+        q = _quantize(canon)
         order = sorted(
             range(n),
             key=lambda i: (symbols[i], q[i, 0], q[i, 1], q[i, 2], i),
@@ -278,9 +277,9 @@ def canonicalize(geometry: Geometry,
     encoding, perm, canon, frame = best
 
     h = hashlib.sha256()
-    h.update(f"{KEY_VERSION}|{decimals}|{geometry.charge}|".encode())
+    h.update(f"{KEY_VERSION}|{CANON_DECIMALS}|{geometry.charge}|".encode())
     h.update(",".join(symbols[i] for i in perm).encode())
-    h.update(_quantize(canon[perm], decimals).tobytes())
+    h.update(_quantize(canon[perm]).tobytes())
     return CanonicalFrame(
         key=h.hexdigest()[:24],
         symbols=tuple(symbols[i] for i in perm),
@@ -300,8 +299,8 @@ def _class_key(frame: CanonicalFrame, basis_name: str, delta: float,
     return h.hexdigest()[:24]
 
 
-def canonical_key(geometry: Geometry, basis_name: str, delta: float, *,
-                  decimals: int = CANON_DECIMALS, **config) -> str:
+def canonical_key(geometry: Geometry, basis_name: str, delta: float,
+                  **config) -> str:
     """Content hash of (canonical geometry class, full run config).
 
     The rigid-motion analogue of :func:`task_key`, with the same config
@@ -310,8 +309,7 @@ def canonical_key(geometry: Geometry, basis_name: str, delta: float, *,
     quantization grid) *and* every config knob that can change the
     numbers matches.
     """
-    return _class_key(canonicalize(geometry, decimals=decimals),
-                      basis_name, delta, **config)
+    return _class_key(canonicalize(geometry), basis_name, delta, **config)
 
 
 # -- response reindexing ---------------------------------------------------
@@ -368,11 +366,9 @@ class CanonicalStore:
     counters of :mod:`repro.obs`.
     """
 
-    def __init__(self, directory: str | Path,
-                 decimals: int = CANON_DECIMALS):
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.decimals = decimals
         self.hits = 0
         self.misses = 0
         self.rotations = 0
@@ -382,12 +378,11 @@ class CanonicalStore:
 
     def key(self, geometry: Geometry, basis_name: str, delta: float,
             **config) -> str:
-        return canonical_key(geometry, basis_name, delta,
-                             decimals=self.decimals, **config)
+        return canonical_key(geometry, basis_name, delta, **config)
 
     def _locate(self, geometry: Geometry, basis_name: str, delta: float,
                 config: dict) -> tuple[CanonicalFrame, Path]:
-        frame = canonicalize(geometry, decimals=self.decimals)
+        frame = canonicalize(geometry)
         key = _class_key(frame, basis_name, delta, **config)
         return frame, self.directory / f"canon_{key}.npz"
 

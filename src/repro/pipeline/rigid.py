@@ -21,6 +21,10 @@ import numpy as np
 from repro.dfpt.hessian import FragmentResponse
 from repro.geometry.atoms import Geometry
 
+#: pairwise distances (bohr) are rounded to this many decimals in
+#: :func:`geometry_signature`
+SIGNATURE_DECIMALS = 5
+
 
 def kabsch_rotation(reference: np.ndarray, target: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
@@ -62,13 +66,15 @@ def _atom_pairs(natoms: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(natoms, 1)
 
 
-def geometry_signature(geometry: Geometry, decimals: int = 5) -> tuple:
+def geometry_signature(geometry: Geometry) -> tuple:
     """Rotation/translation-invariant fingerprint of a geometry:
-    element symbols + the sorted rounded pairwise-distance multiset."""
+    element symbols + the sorted pairwise-distance multiset, rounded to
+    :data:`SIGNATURE_DECIMALS`."""
     coords = geometry.coords
     i, j = _atom_pairs(coords.shape[0])
     diff = coords[j] - coords[i]
-    dists = np.sqrt(np.add.reduce(diff * diff, axis=1)).round(decimals)
+    dists = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    dists = dists.round(SIGNATURE_DECIMALS)
     dists.sort()
     return (tuple(geometry.symbols), tuple(dists.tolist()))
 

@@ -422,25 +422,3 @@ def oracle_dispatch():
     finally:
         for mod, name, fn in saved:
             setattr(mod, name, fn)
-
-
-def record_contraction(batch: int, m: int, n: int, k: int) -> None:
-    """Per-contraction GEMM accounting: each class contraction updates
-    the ``kernels.*`` counters on its own, as the integral engine did
-    before it passed one call's records to the seam at once."""
-    from repro.kernels.batched import kernel_seam, pad_to_stride
-    from repro.obs.counters import counters
-    from repro.utils.flops import gemm_flops
-
-    if batch <= 0:
-        return
-    stride = kernel_seam().stride
-    useful = batch * gemm_flops(m, n, k)
-    padded = batch * gemm_flops(pad_to_stride(m, stride),
-                                pad_to_stride(n, stride),
-                                pad_to_stride(k, stride))
-    reg = counters()
-    reg.inc("kernels.class_gemms")
-    reg.inc("kernels.gemms_batched", batch)
-    reg.inc("kernels.useful_flops", useful)
-    reg.inc("kernels.padded_flops", padded)

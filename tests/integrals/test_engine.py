@@ -234,45 +234,19 @@ def test_pipeline_import_leaves_scipy_special_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_gemm_accounting_matches_per_contraction_path(water_engine,
-                                                      monkeypatch):
-    """One seam call per public integral call leaves the same
-    ``kernels.*`` counter deltas as one per class contraction."""
-    from repro.obs.counters import counters
-    from repro.scf.df import auto_aux_basis
-    from tests.integrals import oracle
+def test_rhf_run_leaves_repro_kernels_out():
+    """The integral engine contracts and returns with no GEMM ledger, so
+    an SCF run never imports the DFPT worker stack in repro.kernels."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
 
-    w, basis, _shared = water_engine
-    engine = IntegralEngine(basis, w.numbers.astype(float), w.coords)
-    aux = auto_aux_basis(w, basis)
-    aux_blocks = single_shell_blocks(aux.shells, aux.offsets)
-    calls = {
-        "overlap": engine.overlap,
-        "kinetic": engine.kinetic,
-        "nuclear": engine.nuclear,
-        "dipole": engine.dipole,
-        "eri": engine.eri,
-        "eri_deriv": engine.eri_deriv,
-        "three_center": lambda: engine.three_center(aux_blocks, aux.nbf),
-        "three_center_deriv": lambda: engine.three_center_deriv(aux_blocks,
-                                                                aux.nbf),
-        "two_center": lambda: engine.two_center(aux_blocks, aux.nbf),
-        "two_center_deriv": lambda: engine.two_center_deriv(aux_blocks,
-                                                            aux.nbf),
-    }
-
-    def kernel_deltas():
-        out = {}
-        for name, call in calls.items():
-            before = counters().snapshot()
-            call()
-            out[name] = {k: v for k, v in counters().delta_since(before).items()
-                         if k.startswith("kernels.")}
-        return out
-
-    batched = kernel_deltas()
-    monkeypatch.setattr(IntegralEngine, "_record_class_gemm",
-                        lambda self, *shape: oracle.record_contraction(*shape))
-    assert kernel_deltas() == batched
-    assert all(batched[name]["kernels.class_gemms"] > 0 for name in calls)
-    assert engine._gemms is None
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys; from repro.geometry import water_molecule; "
+            "from repro.scf.rhf import RHF; RHF(water_molecule()).run(); "
+            "sys.exit('repro.kernels' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

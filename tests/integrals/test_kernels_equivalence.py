@@ -209,21 +209,6 @@ def test_random_corpora_pair_blocks_identical(spec, seed, canonicalize):
             )
 
 
-# -- accounting --------------------------------------------------------------
-
-def test_engine_records_gemm_accounting():
-    from repro.kernels.batched import kernel_seam
-
-    seam = kernel_seam()
-    before = (seam.batches_executed, seam.flops.total("useful"))
-    w = water_molecule()
-    basis = build_basis(w, name="sto-3g")
-    eng = IntegralEngine(basis, w.numbers.astype(float), w.coords)
-    eng.overlap()
-    assert seam.batches_executed > before[0]
-    assert seam.flops.total("useful") > before[1]
-
-
 # -- operand builds ----------------------------------------------------------
 
 @pytest.fixture

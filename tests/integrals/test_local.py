@@ -21,7 +21,6 @@ from repro.integrals.engine import (
     IntegralEngine,
     single_shell_blocks,
 )
-from repro.obs.counters import counters
 from repro.scf.df import auto_aux_basis
 
 DELTA = 5.0e-3
@@ -112,21 +111,29 @@ def test_nothing_moved_copies_the_base(exact):
         assert tensor is not getattr(base, name)
 
 
-def test_local_build_does_less_kernel_work():
+def test_local_build_does_less_kernel_work(monkeypatch):
     """A displaced eri_deriv build contracts only the pairs touching the
-    moved atom: it records fewer useful FLOPs than a full build of the
-    same geometry."""
+    moved atom: it contracts fewer bra x ket primitive pairs than a full
+    build of the same geometry."""
     geom = water_dimer()
     base = _base(geom, exact=True)
     eng, _ = _engine(geom.displaced(0, 0, DELTA))
+    contracted = []
+    core = IntegralEngine._coulomb_core
 
-    def flops(build):
-        before = counters().get("kernels.useful_flops")
+    def counted(self, bra, ket, *args, **kwargs):
+        contracted.append(bra.nprim * ket.nprim)
+        return core(self, bra, ket, *args, **kwargs)
+
+    monkeypatch.setattr(IntegralEngine, "_coulomb_core", counted)
+
+    def primitive_pairs(build):
+        contracted.clear()
         build()
-        return counters().get("kernels.useful_flops") - before
+        return sum(contracted)
 
-    full = flops(eng.eri_deriv)
-    local = flops(lambda: eng.eri_deriv(
+    full = primitive_pairs(eng.eri_deriv)
+    local = primitive_pairs(lambda: eng.eri_deriv(
         dataclasses.replace(base, moved=(0,))))
     assert 0 < local < full
 

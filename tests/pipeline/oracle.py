@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.pipeline.rigid import SIGNATURE_DECIMALS
+
 
 def kabsch_rotation(reference, target):
     p = np.asarray(reference, dtype=float).reshape(-1, 3)
@@ -26,13 +28,13 @@ def kabsch_rotation(reference, target):
     return r, t, rmsd
 
 
-def geometry_signature(geometry, decimals: int = 5) -> tuple:
+def geometry_signature(geometry) -> tuple:
     coords = geometry.coords
     n = coords.shape[0]
     dists = []
     for i in range(n):
         d = np.linalg.norm(coords[i + 1:] - coords[i], axis=1)
-        dists.extend(np.round(d, decimals))
+        dists.extend(np.round(d, SIGNATURE_DECIMALS))
     return (tuple(geometry.symbols), tuple(sorted(dists)))
 
 
